@@ -75,82 +75,11 @@ from .floer import (
 )
 from .lattice import (
     EmbeddingWitness,
-    NotFillableCertificate,
     SublatticeWitness,
     contains_sublattice,
-    donaldson_certificate,
     embed_bound,
     embed_in_diagonal,
     lambda_gram,
     short_vectors,
 )
-
-__all__ = [
-    "NegCF",
-    "neg_cf_expand",
-    "neg_cf_value",
-    "parse_rational",
-    "format_rational",
-    "CyclicDecomposition",
-    "det_bareiss",
-    "h1_from_linking",
-    "h1_rational_surgery",
-    "order_in_cyclic",
-    "smith_normal_form",
-    "ContactComponent",
-    "ContactDiagram",
-    "Fillability",
-    "FillabilityVerdict",
-    "KnotInfo",
-    "LegendrianKnot",
-    "PlusMinusPresentation",
-    "Tightness",
-    "TightnessVerdict",
-    "WitnessReport",
-    "fillability_verdict",
-    "max_tb_legendrian",
-    "parse_knot",
-    "tightness_verdict",
-    "torus_knot",
-    "translate",
-    "translate_single",
-    "twist_knot",
-    "unknot",
-    "witness_nonisomorphic",
-    "Component",
-    "Definiteness",
-    "GraphDiagram",
-    "PlumbingTree",
-    "SeifertClassification",
-    "blow_down",
-    "blow_up",
-    "definiteness",
-    "handle_slide",
-    "moser_seifert",
-    "plumbing_move_sequence",
-    "plumbing_presentation",
-    "rational_to_integer",
-    "rolfsen_twist",
-    "slam_dunk",
-    "DerivationChain",
-    "DimLedger",
-    "SlopeKnowledge",
-    "Triangle",
-    "adjunction_surface",
-    "knowledge_for",
-    "ledger_deduce",
-    "lens_dim",
-    "lspace_propagate",
-    "small_rank_descent",
-    "vanishing_predicate",
-    "verify_chain",
-    "EmbeddingWitness",
-    "NotFillableCertificate",
-    "SublatticeWitness",
-    "contains_sublattice",
-    "donaldson_certificate",
-    "embed_bound",
-    "embed_in_diagonal",
-    "lambda_gram",
-    "short_vectors",
-]
+from .certificate import NotFillableCertificate, donaldson_certificate

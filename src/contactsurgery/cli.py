@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from .certificate import donaldson_certificate
 from .cfrac import format_rational, parse_rational
 from .contact import (
     fillability_verdict,
@@ -37,12 +37,7 @@ from .homology import (
     parse_matrix,
 )
 from .kirby import definiteness, format_plumbing_tree, plumbing_presentation
-from .lattice import (
-    donaldson_certificate,
-    embed_bound,
-    embed_in_diagonal,
-    lambda_gram,
-)
+from .lattice import embed_bound, embed_in_diagonal, lambda_gram
 
 SCHEMA_VERSION = 1
 

@@ -272,23 +272,12 @@ def split_positive_surgery(r: Fraction, k: Optional[int] = None) -> tuple[Fracti
     return Fraction(1, k), Fraction(p, q - k * p)
 
 
-def one_over_k_to_plus_ones(k: int) -> int:
-    """Contact 1/k surgery spreads into k (+1) surgeries on successive pushoffs."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    return k
-
-
 @dataclass(frozen=True)
 class NegativeRecipe:
     """Chain data for a negative contact surgery coefficient."""
 
     expansion: NegCF
     budgets: tuple[int, ...]
-
-    @property
-    def choice_count(self) -> int:
-        return count_structures(self.expansion)
 
 
 def negative_surgery_to_legendrian(r: Fraction) -> NegativeRecipe:
@@ -303,27 +292,6 @@ def negative_surgery_to_legendrian(r: Fraction) -> NegativeRecipe:
         raise ValueError("need a negative coefficient")
     cf = neg_cf_expand(1 - r)
     return NegativeRecipe(cf, tuple(a - 2 for a in cf.terms))
-
-
-def count_structures(cf: NegCF) -> int:
-    """Number of stabilization-sign choices: product of (a_i - 1)."""
-    out = 1
-    for a in cf.terms:
-        out *= a - 1
-    return out
-
-
-def enumerate_stabilization_choices(cf: NegCF) -> list[tuple[tuple[int, int], ...]]:
-    """All ways to split each budget a_i - 2 into (positive, negative) counts.
-
-    Componentwise the splits run from all-positive to all-negative, so
-    the whole list is ordered by increasing negative-stabilization
-    counts read left to right.
-    """
-    per_component = [
-        [(b - neg, neg) for neg in range(b + 1)] for b in (a - 2 for a in cf.terms)
-    ]
-    return [tuple(choice) for choice in itertools.product(*per_component)]
 
 
 @dataclass(frozen=True)
@@ -368,12 +336,18 @@ class PlusMinusPresentation:
         return m
 
     def count_structures(self) -> int:
+        """Number of stabilization-sign choices: product of (budget + 1)."""
         out = 1
         for mem in self.members:
             out *= mem.budget + 1
         return out
 
     def choices(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        """Every (positive, negative) split of every member's budget.
+
+        Each member's splits run from all-positive to all-negative, so
+        the choices come in increasing negative counts read left to right.
+        """
         per_member = [
             [(mem.budget - neg, neg) for neg in range(mem.budget + 1)]
             for mem in self.members
@@ -417,8 +391,9 @@ def _expand_component(index: int, comp: ContactComponent) -> list[Member]:
         if p == 1:
             plus, negative = q, None
         else:
+            # contact 1/k surgery is k (+1) surgeries on successive pushoffs
             one_over_k, negative = split_positive_surgery(r)
-            plus = one_over_k_to_plus_ones(one_over_k.denominator)
+            plus = one_over_k.denominator
         for _ in range(plus):
             members.append(Member(index, +1, tb, leg.rot, 0))
     else:

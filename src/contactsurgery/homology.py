@@ -26,23 +26,16 @@ def mat_identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    n, kk, m = len(a), len(b), len(b[0])
-    assert all(len(row) == kk for row in a)
-    out = [[0] * m for _ in range(n)]
+def symmetric_size(m: Matrix) -> int:
+    """The size of a nonempty square symmetric matrix; ValueError otherwise."""
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("need a nonempty square matrix")
     for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for t in range(kk):
-            av = arow[t]
-            if av == 0:
-                continue
-            brow = b[t]
-            for j in range(m):
-                orow[j] += av * brow[j]
-    return out
+        for j in range(i + 1, n):
+            if m[i][j] != m[j][i]:
+                raise ValueError("need a symmetric matrix")
+    return n
 
 
 def det_bareiss(a: Matrix) -> int:
@@ -50,7 +43,8 @@ def det_bareiss(a: Matrix) -> int:
     n = len(a)
     if n == 0:
         return 1
-    assert all(len(row) == n for row in a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant needs a square matrix")
     m = mat_copy(a)
     sign = 1
     prev = 1
@@ -96,8 +90,8 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    for row in a:
-        assert len(row) == cols
+    if any(len(row) != cols for row in a):
+        raise ValueError("matrix rows differ in length")
     d = mat_copy(a)
     u = mat_identity(rows)
     v = mat_identity(cols)
@@ -177,24 +171,6 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     return SmithForm(d, u, v)
 
 
-def determinantal_divisors(a: Matrix) -> list[int]:
-    """gcd of all i-by-i minors, i = 1..min(rows, cols).  Oracle use only."""
-    from itertools import combinations
-
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    n = min(rows, cols)
-    out = []
-    for size in range(1, n + 1):
-        g = 0
-        for rs in combinations(range(rows), size):
-            for cs in combinations(range(cols), size):
-                sub = [[a[r][c] for c in cs] for r in rs]
-                g = math.gcd(g, det_bareiss(sub))
-        out.append(g)
-    return out
-
-
 @dataclass(frozen=True)
 class CyclicDecomposition:
     """H = Z/orders[0] x ... x Z/orders[-1] x Z^free_rank, orders all >= 2.
@@ -218,13 +194,6 @@ class CyclicDecomposition:
             out *= x
         return out
 
-    def is_cyclic(self) -> bool:
-        return self.free_rank == 0 and len(self.orders) <= 1
-
-    def describe(self) -> str:
-        parts = [f"Z/{n}" for n in self.orders] + ["Z"] * self.free_rank
-        return " x ".join(parts) if parts else "0"
-
 
 def h1_from_linking(a: Matrix) -> CyclicDecomposition:
     """Cokernel of a square integer matrix, with meridian images.
@@ -234,7 +203,8 @@ def h1_from_linking(a: Matrix) -> CyclicDecomposition:
     given by column i of U, read against the diagonal of D.
     """
     n = len(a)
-    assert all(len(row) == n for row in a)
+    if any(len(row) != n for row in a):
+        raise ValueError("linking matrix must be square")
     snf = smith_normal_form(a)
     diag = snf.diagonal
     kept = [j for j in range(n) if diag[j] != 1]
@@ -285,7 +255,12 @@ def format_matrix(a: Matrix) -> str:
 
 
 def parse_matrix(text: str) -> Matrix:
-    toks = text.split()
+    """Read format_matrix output; blank lines and '#' comment lines are skipped."""
+    toks: list[str] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            toks.extend(line.split())
     if len(toks) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
     rows, cols = int(toks[0]), int(toks[1])

@@ -33,10 +33,10 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .cfrac import format_rational, neg_cf_expand, parse_rational
-from .homology import Matrix, det_bareiss
+from .homology import Matrix, det_bareiss, symmetric_size
 
 
 class MoveError(ValueError):
@@ -403,33 +403,32 @@ class Definiteness(Enum):
 def definiteness(m: Matrix) -> Definiteness:
     """Classify a symmetric integer matrix by its quadratic form.
 
-    Nonsingular forms are classified by exact fraction-free elimination:
-    a definite form never hits a zero pivot, and the pivot signs are the
-    ratios of leading principal minors.
+    One fraction-free elimination without pivoting (Bareiss, Math. Comp.
+    22, 1968) leaves the k-th leading principal minor D_k on the
+    diagonal.  The form is positive definite iff every D_k > 0 and
+    negative definite iff the signs alternate from D_1 < 0 (Sylvester);
+    otherwise it is degenerate when det = 0 and indefinite when not.  A
+    zero D_k with k < n stops the elimination, and only then is the
+    determinant taken separately.
     """
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise ValueError("need a nonempty square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("need a symmetric matrix")
-    if det_bareiss(m) == 0:
-        return Definiteness.DEGENERATE
-    a = [[Fraction(x) for x in row] for row in m]
+    n = symmetric_size(m)
+    a = [row[:] for row in m]
     positive = negative = 0
+    prev = 1
     for k in range(n):
-        piv = a[k][k]
-        if piv == 0:
+        minor = a[k][k]
+        if minor == 0:
+            if k == n - 1 or det_bareiss(m) == 0:
+                return Definiteness.DEGENERATE
             return Definiteness.INDEFINITE
-        if piv > 0:
-            positive += 1
+        if (minor > 0) == (prev > 0):
+            positive += 1  # the k-th pivot D_k / D_{k-1} is positive
         else:
             negative += 1
         for i in range(k + 1, n):
-            f = a[i][k] / piv
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * minor - a[i][k] * a[k][j]) // prev
+        prev = minor
     if positive == n:
         return Definiteness.POSITIVE_DEFINITE
     if negative == n:

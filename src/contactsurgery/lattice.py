@@ -13,52 +13,23 @@ service of that argument:
   * embed_in_diagonal searches for an isometric embedding into the
     negative diagonal lattice of a given rank, pruning partial
     placements that differ by a signed coordinate permutation, so an
-    exhausted search really does prove nonexistence;
-  * donaldson_certificate strings the four obstruction ingredients into
-    one verifiable certificate of nonfillability.
+    exhausted search really does prove nonexistence.
 
 A vector of norm t has at most t nonzero coordinates in any diagonal
 embedding, so the sum of the diagonal norms bounds the rank that ever
-needs to be searched; that is the embed_bound used by the certificate.
+needs to be searched; that is the embed_bound used by the certificate
+module.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cfrac import format_rational, neg_cf_expand
-from .contact import torus_knot
-from .floer import DerivationChain, knowledge_for, lspace_propagate, verify_chain
-from .homology import Matrix, det_bareiss
-from .kirby import (
-    Definiteness,
-    PlumbingTree,
-    definiteness,
-    plumbing_presentation,
-)
-
-
-class CertificateFailure(RuntimeError):
-    """One of the four certificate ingredients could not be produced."""
-
-    def __init__(self, part: str, message: str):
-        super().__init__(f"{part}: {message}")
-        self.part = part
-
-
-def _check_symmetric(m: Matrix) -> int:
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise ValueError("need a nonempty square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
-                raise ValueError("need a symmetric matrix")
-    return n
+from .homology import Matrix, symmetric_size
+from .kirby import Definiteness, definiteness
 
 
 def _negate(m: Matrix) -> Matrix:
@@ -92,7 +63,6 @@ def short_vectors(gram: Matrix, t: int) -> list[tuple[int, ...]]:
     trailing coordinates bound the leading ones exactly, with no
     floating point anywhere.
     """
-    n = _check_symmetric(gram)
     kind = definiteness(gram)
     if kind is Definiteness.NEGATIVE_DEFINITE:
         return short_vectors(_negate(gram), -t)
@@ -100,6 +70,7 @@ def short_vectors(gram: Matrix, t: int) -> list[tuple[int, ...]]:
         raise ValueError("short vector enumeration needs a definite form")
     if t <= 0:
         return []
+    n = len(gram)
     a = [[Fraction(x) for x in row] for row in gram]
     d = [Fraction(0)] * n
     c = [[Fraction(0)] * n for _ in range(n)]
@@ -134,8 +105,7 @@ def short_vectors(gram: Matrix, t: int) -> list[tuple[int, ...]]:
 
 def embed_bound(gram: Matrix) -> int:
     """Rank beyond which a diagonal embedding search cannot learn more."""
-    _check_symmetric(gram)
-    return sum(abs(gram[i][i]) for i in range(len(gram)))
+    return sum(abs(gram[i][i]) for i in range(symmetric_size(gram)))
 
 
 def lambda_gram(a1: int, n: int) -> Matrix:
@@ -211,9 +181,9 @@ def embed_in_diagonal(gram: Matrix, m: int) -> Optional[EmbeddingWitness]:
     is at least embed_bound(gram).  The first witness found under the
     fixed candidate order is returned, so results are reproducible.
     """
-    k = _check_symmetric(gram)
     if definiteness(gram) is not Definiteness.NEGATIVE_DEFINITE:
         raise ValueError("the embedding search expects a negative definite form")
+    k = len(gram)
     if m < 1:
         raise ValueError("m must be >= 1")
     if k > m:
@@ -268,12 +238,11 @@ def embed_in_diagonal(gram: Matrix, m: int) -> Optional[EmbeddingWitness]:
 
 def contains_sublattice(target: Matrix, gram: Matrix) -> Optional[SublatticeWitness]:
     """Find a copy of gram inside the definite form target, if one exists."""
-    n = _check_symmetric(target)
-    k = _check_symmetric(gram)
     dt, dg = definiteness(target), definiteness(gram)
     definite = (Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE)
     if dt not in definite or dg is not dt:
         raise ValueError("both forms must be definite, of the same sign")
+    n, k = len(target), len(gram)
     if k > n:
         return None
     order = sorted(range(k), key=lambda i: -abs(gram[i][i]))
@@ -303,121 +272,3 @@ def contains_sublattice(target: Matrix, gram: Matrix) -> Optional[SublatticeWitn
     for depth, idx in enumerate(order):
         vectors[idx] = placed[depth]
     return SublatticeWitness(_freeze(target), _freeze(gram), tuple(vectors))
-
-
-# ---------------------------------------------------------------------------
-# the assembled certificate
-
-
-@dataclass(frozen=True)
-class NotFillableCertificate:
-    """Machine-checkable evidence that r-surgery admits no fillable structure.
-
-    Four ingredients: a derivation that the surgery has minimal Floer
-    rank, the positive definite plumbing it bounds, the rank-6 form
-    sitting inside the negated plumbing lattice, and the exhausted
-    search showing that form has no negative diagonal embedding up to
-    the saturating rank.
-    """
-
-    n: int
-    slope: Fraction
-    a1: int
-    lspace_chain: DerivationChain
-    tree: PlumbingTree
-    sublattice: SublatticeWitness
-    embedding_bound: int
-
-    def verify(self) -> bool:
-        """Re-check every identity in the certificate.
-
-        The embedding part is a nonexistence statement; re-establishing
-        it means re-running the exhaustive search (donaldson_certificate
-        does exactly that), so here we re-verify the three positive
-        witnesses and the interval hypothesis.
-        """
-        lo, hi = 2 * self.n - 1, 4 * self.n
-        if not lo <= self.slope < hi:
-            return False
-        kb = knowledge_for(torus_knot(2 * self.n + 1, 2))
-        try:
-            verify_chain(kb, self.lspace_chain)
-        except ValueError:
-            return False
-        if self.lspace_chain.query != self.slope:
-            return False
-        m = self.tree.intersection_matrix()
-        if not self.tree.is_tree():
-            return False
-        if abs(det_bareiss(m)) != abs(self.slope.numerator):
-            return False
-        if definiteness(m) is not Definiteness.POSITIVE_DEFINITE:
-            return False
-        lam = lambda_gram(self.a1, self.n)
-        if self.sublattice.gram != _freeze(lam):
-            return False
-        if self.sublattice.ambient != _freeze(_negate(m)):
-            return False
-        if not self.sublattice.verify():
-            return False
-        return self.embedding_bound >= embed_bound(lam)
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "slope": format_rational(self.slope),
-            "a1": self.a1,
-            "lspace_chain": self.lspace_chain.as_dict(),
-            "plumbing": {
-                "vertices": [[vid, w] for vid, w in self.tree.vertices],
-                "edges": [[a, b] for a, b in self.tree.edges],
-            },
-            "sublattice_vectors": [list(v) for v in self.sublattice.vectors],
-            "embedding": {"bound": self.embedding_bound, "exists": False},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
-
-
-def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
-    """Assemble the nonfillability certificate for r in [2n-1, 4n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = Fraction(r)
-    lo, hi = 2 * n - 1, 4 * n
-    if not lo <= r < hi:
-        raise ValueError(f"slope {r} outside the obstructed interval [{lo}, {hi})")
-
-    kb = knowledge_for(torus_knot(2 * n + 1, 2))
-    chain = lspace_propagate(kb, r)
-    if chain is None:
-        raise CertificateFailure("lspace", f"no derivation chain reaches {r}")
-
-    tree = plumbing_presentation(n, r)
-    m = tree.intersection_matrix()
-    if definiteness(m) is not Definiteness.POSITIVE_DEFINITE:
-        raise CertificateFailure("plumbing", "intersection form is not positive definite")
-
-    terms = neg_cf_expand((r - 4 * n - 2) / (r - 4 * n - 1)).terms
-    a1 = terms[1]
-    if tree.weight("a1") != a1:
-        raise CertificateFailure("plumbing", "leg coefficient disagrees with the tree")
-    lam = lambda_gram(a1, n)
-    sub = contains_sublattice(_negate(m), lam)
-    if sub is None:
-        raise CertificateFailure("sublattice", "obstruction form not found in the plumbing")
-
-    bound = embed_bound(lam)
-    if embed_in_diagonal(lam, bound) is not None:
-        raise CertificateFailure("embedding", "the obstruction form embeds after all")
-
-    return NotFillableCertificate(
-        n=n,
-        slope=r,
-        a1=a1,
-        lspace_chain=chain,
-        tree=tree,
-        sublattice=sub,
-        embedding_bound=bound,
-    )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +182,19 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as exc:
         entry(["witness"])  # --m is required
     assert exc.value.code == 2
+
+
+def test_nonsquare_matrix_under_optimize(tmp_path):
+    # shape checks must not be asserts: python -O strips those
+    path = tmp_path / "m.txt"
+    path.write_text(format_matrix([[1, 2, 3], [4, 5, 6]]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "contactsurgery.cli", "homology", "--matrix", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contactsurgery.cfrac import NegCF, neg_cf_expand
+from contactsurgery.cfrac import neg_cf_value
 from contactsurgery.contact import (
     ContactComponent,
     ContactDiagram,
@@ -13,14 +13,11 @@ from contactsurgery.contact import (
     Tightness,
     UnsupportedKnotError,
     c1_coefficient,
-    count_structures,
     custom_knot,
-    enumerate_stabilization_choices,
     fillability_verdict,
     format_contact_diagram,
     max_tb_legendrian,
     negative_surgery_to_legendrian,
-    one_over_k_to_plus_ones,
     parse_contact_diagram,
     parse_knot,
     smooth_coefficient,
@@ -124,45 +121,46 @@ def test_split_recombines_reciprocally(r):
     assert 1 / one_over_k + 1 / leftover == 1 / r
 
 
-def test_one_over_k():
-    assert one_over_k_to_plus_ones(1) == 1
-    assert one_over_k_to_plus_ones(3) == 3
-    with pytest.raises(ValueError):
-        one_over_k_to_plus_ones(0)
-
-
 def test_negative_recipe():
     r = negative_surgery_to_legendrian(Fraction(-1))
-    assert r.expansion.terms == (2,) and r.budgets == (0,) and r.choice_count == 1
+    assert r.expansion.terms == (2,) and r.budgets == (0,)
+    assert translate_single(unknot(), Fraction(-1)).count_structures() == 1
     r = negative_surgery_to_legendrian(Fraction(-2))
-    assert r.expansion.terms == (3,) and r.budgets == (1,) and r.choice_count == 2
+    assert r.expansion.terms == (3,) and r.budgets == (1,)
+    assert translate_single(unknot(), Fraction(-2)).count_structures() == 2
     r = negative_surgery_to_legendrian(Fraction(-9, 5))
     assert r.expansion.terms == (3, 5)
     assert r.budgets == (1, 3)
-    assert r.choice_count == 8
+    assert translate_single(unknot(), Fraction(-9, 5)).count_structures() == 8
     with pytest.raises(ValueError):
         negative_surgery_to_legendrian(Fraction(1, 2))
 
 
+def negative_chain(terms):
+    # the contact surgery whose chain is governed by 1 - r = [terms]
+    return translate_single(unknot(), 1 - neg_cf_value(terms))
+
+
 def test_count_structures():
-    assert count_structures(NegCF((3,))) == 2
-    assert count_structures(NegCF((2, 2, 2))) == 1
-    assert count_structures(NegCF((4, 3))) == 6
+    assert negative_chain((3,)).count_structures() == 2
+    assert negative_chain((2, 2, 2)).count_structures() == 1
+    assert negative_chain((4, 3)).count_structures() == 6
 
 
 def test_enumerate_choices():
-    assert enumerate_stabilization_choices(NegCF((3,))) == [((1, 0),), ((0, 1),)]
-    assert enumerate_stabilization_choices(NegCF((2,))) == [((0, 0),)]
-    assert len(enumerate_stabilization_choices(NegCF((3, 3)))) == 4
+    assert list(negative_chain((3,)).choices()) == [((1, 0),), ((0, 1),)]
+    assert list(negative_chain((2,)).choices()) == [((0, 0),)]
+    assert len(list(negative_chain((3, 3)).choices())) == 4
 
 
 def test_enumerate_matches_count_exhaustively():
     # all expansions with terms in [2,6], length up to 4
     for length in range(1, 5):
         for terms in itertools.product(range(2, 7), repeat=length):
-            cf = NegCF(terms)
-            choices = enumerate_stabilization_choices(cf)
-            assert len(choices) == count_structures(cf)
+            pres = negative_chain(terms)
+            assert [m.budget for m in pres.members] == [a - 2 for a in terms]
+            choices = list(pres.choices())
+            assert len(choices) == pres.count_structures()
             assert len(set(choices)) == len(choices)
             for entry in choices:
                 for (pos, neg), a in zip(entry, terms):
@@ -251,15 +249,15 @@ def test_translation_soundness(knot, r):
 @given(knot_strategy, coeff_strategy)
 def test_realize_consistency(knot, r):
     pres = translate_single(knot, r)
-    count = 0
-    for choice in pres.choices():
+    choices = list(pres.choices())
+    for choice in choices:
         link = pres.realize(choice)
-        count += 1
         for leg, mem in zip(link, pres.members):
             assert leg.tb == mem.tb
             assert leg.rot == mem.base_rot + leg.stab_pos - leg.stab_neg
             assert leg.stab_pos + leg.stab_neg == mem.budget
-    assert count == pres.count_structures()
+    assert len(choices) == pres.count_structures()
+    assert len(set(choices)) == len(choices)
 
 
 def test_witness_report_m2():

@@ -7,13 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from contactsurgery.certificate import CertificateFailure, donaldson_certificate
 from contactsurgery.homology import det_bareiss
 from contactsurgery.kirby import plumbing_presentation
 from contactsurgery.lattice import (
-    CertificateFailure,
     EmbeddingWitness,
     contains_sublattice,
-    donaldson_certificate,
     embed_bound,
     embed_in_diagonal,
     lambda_gram,
