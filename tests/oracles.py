@@ -1,9 +1,12 @@
-"""Brute-force integer matrix oracles shared by the test modules."""
+"""Brute-force and reference oracles shared by the test modules."""
 
 import itertools
 import math
+from fractions import Fraction
 
 from contactsurgery.homology import det_bareiss
+from contactsurgery.kirby import Definiteness, definiteness
+from contactsurgery.lattice import EmbeddingWitness
 
 
 def mat_mul(a, b):
@@ -26,3 +29,127 @@ def determinantal_divisors(a):
                 g = math.gcd(g, det_bareiss([[a[i][j] for j in csel] for i in rsel]))
         out.append(g)
     return out
+
+
+def _floor_plus_sqrt(s, rad):
+    """Largest integer <= s + sqrt(rad), exactly (rad >= 0)."""
+    x = math.floor(s) + math.isqrt(math.ceil(rad)) + 2
+    while True:
+        diff = x - s
+        if diff <= 0 or diff * diff <= rad:
+            return x
+        x -= 1
+
+
+def fraction_short_vectors(gram, t):
+    """Norm-t vectors of a definite form by rational quadratic completion.
+
+    The reference for lattice.short_vectors: q(x) = sum_i d_i (x_i +
+    sum_{j>i} c_ij x_j)^2 over Fraction, walked from the last coordinate,
+    then sorted.
+    """
+    kind = definiteness(gram)
+    if kind is Definiteness.NEGATIVE_DEFINITE:
+        return fraction_short_vectors([[-x for x in row] for row in gram], -t)
+    if kind is not Definiteness.POSITIVE_DEFINITE:
+        raise ValueError("short vector enumeration needs a definite form")
+    if t <= 0:
+        return []
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d = [Fraction(0)] * n
+    c = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = a[i][i]
+        for j in range(i + 1, n):
+            c[i][j] = a[i][j] / d[i]
+        for j in range(i + 1, n):
+            for k in range(j, n):
+                a[j][k] -= d[i] * c[i][j] * c[i][k]
+                a[k][j] = a[j][k]
+    out = []
+    x = [0] * n
+
+    def walk(i, budget):
+        if i < 0:
+            if budget == 0:
+                out.append(tuple(x))
+            return
+        s = sum(c[i][j] * x[j] for j in range(i + 1, n))
+        rad = budget / d[i]
+        hi = _floor_plus_sqrt(-s, rad)
+        lo = -_floor_plus_sqrt(s, rad)
+        for v in range(lo, hi + 1):
+            x[i] = v
+            walk(i - 1, budget - d[i] * (v + s) ** 2)
+        x[i] = 0
+
+    walk(n - 1, Fraction(t))
+    return sorted(out)
+
+
+def seen_set_embed_in_diagonal(gram, m):
+    """Diagonal embedding search over all of Z^m, pruned by a seen set.
+
+    The reference for lattice.embed_in_diagonal: every norm-t vector of
+    Z^m is a candidate, in lexicographic order, and a partial placement
+    whose signed-permutation class was already exhausted is skipped.
+    Skipping only exhausted classes keeps the first witness found equal
+    to the lexicographically first one.
+    """
+    if definiteness(gram) is not Definiteness.NEGATIVE_DEFINITE:
+        raise ValueError("the embedding search expects a negative definite form")
+    k = len(gram)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if k > m:
+        return None
+    order = sorted(range(k), key=lambda i: gram[i][i])
+    identity = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    candidates = {
+        t: fraction_short_vectors(identity, t) for t in {-gram[i][i] for i in range(k)}
+    }
+    placed = []
+    seen = set()
+
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    def canonical_key(vs):
+        rows = []
+        for r in range(m):
+            row = tuple(v[r] for v in vs)
+            for entry in row:
+                if entry:
+                    if entry < 0:
+                        row = tuple(-x for x in row)
+                    break
+            rows.append(row)
+        rows.sort()
+        return tuple(rows)
+
+    def dfs(depth):
+        if depth == k:
+            return True
+        want_norm = -gram[order[depth]][order[depth]]
+        for v in candidates[want_norm]:
+            if any(
+                dot(v, placed[a]) != -gram[order[depth]][order[a]]
+                for a in range(depth)
+            ):
+                continue
+            placed.append(v)
+            key = canonical_key(placed)
+            if key not in seen:
+                seen.add(key)
+                if dfs(depth + 1):
+                    return True
+            placed.pop()
+        return False
+
+    if not dfs(0):
+        return None
+    vectors = [None] * k
+    for depth, idx in enumerate(order):
+        vectors[idx] = placed[depth]
+    return EmbeddingWitness(tuple(map(tuple, gram)), m, tuple(vectors))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,14 @@ def test_lattice_embed_obstruction(capsys):
     code, out, _ = run(capsys, "lattice-embed", "--gram", "lambda:2,1")
     assert code == 0
     assert out.strip() == "no embedding (bound m=12)"
+
+
+def test_lattice_embed_bound_does_not_scale_with_m(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "lattice-embed", "--gram", "lambda:2,1", "--bound", "5000")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert out.strip() == "no embedding (bound m=5000)"
 
 
 def test_lattice_embed_from_file(capsys, tmp_path):

@@ -3,13 +3,14 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from contactsurgery.certificate import CertificateFailure, donaldson_certificate
 from contactsurgery.homology import det_bareiss
-from contactsurgery.kirby import plumbing_presentation
+from contactsurgery.kirby import Definiteness, definiteness, plumbing_presentation
 from contactsurgery.lattice import (
     EmbeddingWitness,
     contains_sublattice,
@@ -18,6 +19,7 @@ from contactsurgery.lattice import (
     lambda_gram,
     short_vectors,
 )
+from oracles import fraction_short_vectors, seen_set_embed_in_diagonal
 
 
 def negate(m):
@@ -32,6 +34,24 @@ def gram_ak(k):
     for i in range(k - 1):
         g[i][i + 1] = g[i + 1][i] = 1
     return g
+
+
+def dynkin_gram(k, edges):
+    # negative definite tree form: -2 on the diagonal, 1 on each edge
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        g[i][i] = -2
+    for i, j in edges:
+        g[i][j] = g[j][i] = 1
+    return g
+
+
+def gram_dk(k):
+    return dynkin_gram(k, [(i, i + 1) for i in range(k - 2)] + [(k - 3, k - 1)])
+
+
+def gram_en(k):
+    return dynkin_gram(k, [(i, i + 1) for i in range(k - 2)] + [(2, k - 1)])
 
 
 def form_value(x, m, y):
@@ -120,6 +140,26 @@ def test_short_vectors_against_box_enumeration():
         cases += 1
 
 
+def test_short_vectors_match_fraction_oracle():
+    rng = random.Random(29)
+    for _ in range(120):
+        k = rng.randint(1, 6)
+        g = random_pd_gram(rng, k)
+        t = rng.randint(1, 7)
+        assert short_vectors(g, t) == fraction_short_vectors(g, t)
+        assert short_vectors(negate(g), -t) == fraction_short_vectors(g, t)
+
+
+def test_short_vectors_match_fraction_oracle_on_plumbings():
+    # the positive definite forms the certificate searches, at its norms
+    for n, r in ((1, Fraction(2)), (1, Fraction(7, 2)), (2, Fraction(15, 2))):
+        form = plumbing_presentation(n, r).intersection_matrix()
+        for t in (1, 2, 3):
+            got = short_vectors(form, t)
+            assert got == fraction_short_vectors(form, t)
+            assert short_vectors(negate(form), -t) == got
+
+
 # diagonal embeddings
 
 
@@ -188,6 +228,61 @@ def test_witness_verify_catches_tampering():
     assert not bad.verify()
     short = EmbeddingWitness(w.gram, w.m, w.vectors[:1])
     assert not short.verify()
+
+
+def test_embed_matches_seen_set_oracle_on_random_forms():
+    # -V V^T for random V, sometimes pushed off the image: both answers occur
+    rng = random.Random(31)
+    cases = found = 0
+    while cases < 50:
+        k, m = rng.randint(1, 4), rng.randint(1, 7)
+        vs = [[rng.randint(-1, 1) for _ in range(rng.randint(1, 5))] for _ in range(k)]
+        g = [[-sum(x * y for x, y in zip(u, v)) for v in vs] for u in vs]
+        if rng.random() < 0.5:
+            i = rng.randrange(k)
+            g[i][i] -= 1
+        if definiteness(g) is not Definiteness.NEGATIVE_DEFINITE:
+            continue
+        w = embed_in_diagonal(g, m)
+        assert w == seen_set_embed_in_diagonal(g, m)
+        cases += 1
+        found += w is not None
+    assert 0 < found < cases
+
+
+def test_embed_matches_seen_set_oracle_on_root_lattices():
+    cases = [(gram_ak(k), k) for k in range(1, 8)]
+    cases += [(gram_dk(k), k) for k in range(4, 8)]
+    cases += [(gram_en(k), embed_bound(gram_en(k))) for k in (6, 7, 8)]
+    for g, m in cases:
+        w = embed_in_diagonal(g, m)
+        assert w == seen_set_embed_in_diagonal(g, m)
+        assert w is None or w.verify()
+    # D_k sits in Z^k, A_4 does not; E8 sits in no diagonal lattice
+    assert all(embed_in_diagonal(gram_dk(k), k) is not None for k in range(4, 8))
+    assert embed_in_diagonal(gram_ak(3), 3) is not None
+    assert embed_in_diagonal(gram_ak(4), 4) is None
+    assert embed_in_diagonal(gram_en(8), 16) is None
+
+
+def test_embed_matches_seen_set_oracle_on_obstruction_forms():
+    # the oracle lists Z^m in Fraction arithmetic, about 1 s per form at
+    # embed_bound = 13 or 14, so only lambda(2, 1) is checked at its bound
+    for a1, n, m in ((2, 1, 12), (2, 2, 10), (3, 1, 10), (3, 2, 10)):
+        lam = lambda_gram(a1, n)
+        assert m <= embed_bound(lam)
+        assert embed_in_diagonal(lam, m) is None
+        assert seen_set_embed_in_diagonal(lam, m) is None
+
+
+def test_embed_witness_at_large_rank():
+    # the search works on a support prefix; only the witness is padded to m
+    t0 = time.perf_counter()
+    w = embed_in_diagonal(gram_ak(3), 5000)
+    assert time.perf_counter() - t0 < 1.0
+    assert w is not None and w.verify()
+    small = embed_in_diagonal(gram_ak(3), 4)
+    assert w.vectors == tuple(v + (0,) * 4996 for v in small.vectors)
 
 
 # sublattice search
