@@ -7,8 +7,9 @@ resulting intersection lattice for embedding obstructions.  A small
 Heegaard Floer bookkeeping layer tracks which surgery slopes are known
 to give manifolds with minimal-rank Floer homology.
 
-Everything is computed over the rationals with `fractions.Fraction`;
-there is no floating point anywhere in the library.
+Everything is computed in exact `int`/`fractions.Fraction` arithmetic
+(the lattice searches are integer-only); there is no floating point
+anywhere in the library.
 """
 
 from .cfrac import NegCF, neg_cf_expand, neg_cf_value, parse_rational, format_rational

@@ -60,6 +60,28 @@ def neg_cf_expand(x: Fraction | int) -> NegCF:
         x = 1 / (a - x)
 
 
+def neg_cf_length(x: Fraction | int) -> int:
+    """len(neg_cf_expand(x)) for x > 1, in logarithmically many steps.
+
+    Let x = [b0; b1, ..., bm] be its ordinary continued fraction, with
+    bm >= 2 when m > 0.  For m > 0 the negative expansion reads b0 + 1,
+    then b1 - 1 twos, then one term, then b3 - 1 twos, then one term, and
+    so on, so it has b1 + b3 + b5 + ... terms, plus one when m is even
+    (for m = 0 it is the single term b0).
+    """
+    x = Fraction(x)
+    if x <= 1:
+        raise ValueError(f"need x > 1, got {x}")
+    p, q = x.numerator, x.denominator
+    length = i = 0
+    while q:  # Euclid: b is b_i
+        b, (p, q) = p // q, (q, p % q)
+        if i % 2:
+            length += b
+        i += 1
+    return length + i % 2  # i = m + 1 here
+
+
 def neg_cf_value(terms: Iterable[int]) -> Fraction:
     """Evaluate a0 - 1/(a1 - 1/(... - 1/ak)) exactly."""
     seq = list(terms)

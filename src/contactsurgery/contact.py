@@ -36,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .cfrac import NegCF, format_rational, neg_cf_expand, parse_rational
+from .cfrac import NegCF, format_rational, neg_cf_expand, neg_cf_length, parse_rational
 from .homology import CyclicDecomposition, Matrix, h1_from_linking, order_in_cyclic
 
 
@@ -379,36 +379,49 @@ class PlusMinusPresentation:
         return h1_from_linking(self.linking_matrix())
 
 
+# The linking matrix of a presentation is dense, and its Smith form costs
+# about the cube of the member count: 200 members take about a second.
+MEMBER_BUDGET = 200
+
+
+def _split_coefficient(r: Fraction) -> tuple[int, Optional[Fraction]]:
+    """The number of (+1) members for coefficient r, and the negative rest."""
+    if r < 0:
+        return 0, r
+    if r.numerator == 1:
+        return r.denominator, None
+    # contact 1/k surgery is k (+1) surgeries on successive pushoffs
+    one_over_k, negative = split_positive_surgery(r)
+    return one_over_k.denominator, negative
+
+
 def _expand_component(index: int, comp: ContactComponent) -> list[Member]:
-    r = comp.coeff
     leg = comp.leg
-    if r == 1 or r == -1:
-        return [Member(index, int(r), leg.tb, leg.rot, 0)]
-    members: list[Member] = []
-    tb = leg.tb
-    if r > 0:
-        p, q = r.numerator, r.denominator
-        if p == 1:
-            plus, negative = q, None
-        else:
-            # contact 1/k surgery is k (+1) surgeries on successive pushoffs
-            one_over_k, negative = split_positive_surgery(r)
-            plus = one_over_k.denominator
-        for _ in range(plus):
-            members.append(Member(index, +1, tb, leg.rot, 0))
-    else:
-        negative = r
-    if negative is not None and negative != -1:
+    plus, negative = _split_coefficient(comp.coeff)
+    members = [Member(index, +1, leg.tb, leg.rot, 0) for _ in range(plus)]
+    if negative is not None:
+        tb = leg.tb
         for budget in negative_surgery_to_legendrian(negative).budgets:
             tb -= budget
             members.append(Member(index, -1, tb, leg.rot, budget))
-    elif negative == -1:
-        members.append(Member(index, -1, tb, leg.rot, 0))
     return members
 
 
 def translate(diagram: ContactDiagram) -> PlusMinusPresentation:
-    """Rewrite every rational coefficient into (+1/-1) surgeries."""
+    """Rewrite every rational coefficient into (+1/-1) surgeries.
+
+    The members are counted first, without building them, and a
+    presentation of more than MEMBER_BUDGET members is refused with a
+    ValueError.
+    """
+    size = 0
+    for comp in diagram.components:
+        plus, negative = _split_coefficient(comp.coeff)
+        size += plus + (0 if negative is None else neg_cf_length(1 - negative))
+    if size > MEMBER_BUDGET:
+        raise ValueError(
+            f"the (+1/-1) presentation would have {size} members; the budget is {MEMBER_BUDGET}"
+        )
     members: list[Member] = []
     for idx, comp in enumerate(diagram.components):
         members.extend(_expand_component(idx, comp))

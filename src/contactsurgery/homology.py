@@ -3,9 +3,10 @@
 The first homology of a three-manifold given by integral surgery on a
 link is the cokernel of the linking matrix.  We compute Smith normal
 forms with full transform tracking so that we can express the meridian
-generators in terms of the cyclic factors, take exact determinants with
-the Bareiss fraction-free scheme, and answer order-of-element questions
-in cyclic groups.
+generators in terms of the cyclic factors, and answer order-of-element
+questions in cyclic groups.  One fraction-free elimination, bareiss,
+gives the exact determinant and leading minors here, to kirby's
+definiteness test and to lattice's short-vector walk.
 
 Matrices are plain lists of lists of ints throughout.
 """
@@ -38,32 +39,46 @@ def symmetric_size(m: Matrix) -> int:
     return n
 
 
-def det_bareiss(a: Matrix) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
+def bareiss(a: Matrix) -> tuple[Matrix, int, int]:
+    """Fraction-free elimination of a square matrix (Bareiss, Math. Comp.
+    22, 1968), returning the reduced rows r, a sign and a step swap.
+
+    Rows are exchanged only at a zero pivot; a zero pivot with zeros
+    below it stops the elimination.  swap is the first step that did
+    either (len(a) if none), so r[k][k] is the (k+1)-th leading
+    principal minor of a for k < swap.  det(a) = sign * r[-1][-1], and
+    sign is 0 exactly when det(a) = 0.
+    """
     n = len(a)
-    if n == 0:
-        return 1
     if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
+        raise ValueError("elimination needs a square matrix")
+    r = mat_copy(a)
+    sign, swap, prev = 1, n, 1
+    for k in range(n):
+        if r[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if r[i][k]), None)
+            if i is None:
+                return r, 0, min(swap, k)
+            r[k], r[i] = r[i], r[k]
+            sign, swap = -sign, min(swap, k)
+        top = r[k]
+        pivot = top[k]
         for i in range(k + 1, n):
+            row = r[i]
+            f = row[k]
             for j in range(k + 1, n):
-                # Bareiss: every division here is exact
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                row[j] = (row[j] * pivot - f * top[j]) // prev
+            row[k] = 0
+        prev = pivot
+    return r, sign, swap
+
+
+def det_bareiss(a: Matrix) -> int:
+    """Exact determinant by fraction-free elimination."""
+    if not a:
+        return 1
+    r, sign, _ = bareiss(a)
+    return sign * r[-1][-1]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .cfrac import format_rational, neg_cf_expand, parse_rational
-from .homology import Matrix, det_bareiss, symmetric_size
+from .homology import Matrix, bareiss, det_bareiss, symmetric_size
 
 
 class MoveError(ValueError):
@@ -403,35 +403,22 @@ class Definiteness(Enum):
 def definiteness(m: Matrix) -> Definiteness:
     """Classify a symmetric integer matrix by its quadratic form.
 
-    One fraction-free elimination without pivoting (Bareiss, Math. Comp.
-    22, 1968) leaves the k-th leading principal minor D_k on the
-    diagonal.  The form is positive definite iff every D_k > 0 and
-    negative definite iff the signs alternate from D_1 < 0 (Sylvester);
-    otherwise it is degenerate when det = 0 and indefinite when not.  A
-    zero D_k with k < n stops the elimination, and only then is the
-    determinant taken separately.
+    One fraction-free elimination (homology.bareiss) decides it.  The
+    form is degenerate when det = 0.  Otherwise a row exchange means some
+    leading principal minor D_k vanishes, so the form is indefinite; with
+    no exchange the pivots are D_1..D_n, and the form is positive
+    definite iff every D_k > 0 and negative definite iff the signs
+    alternate from D_1 < 0 (Sylvester).
     """
     n = symmetric_size(m)
-    a = [row[:] for row in m]
-    positive = negative = 0
-    prev = 1
-    for k in range(n):
-        minor = a[k][k]
-        if minor == 0:
-            if k == n - 1 or det_bareiss(m) == 0:
-                return Definiteness.DEGENERATE
-            return Definiteness.INDEFINITE
-        if (minor > 0) == (prev > 0):
-            positive += 1  # the k-th pivot D_k / D_{k-1} is positive
-        else:
-            negative += 1
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * minor - a[i][k] * a[k][j]) // prev
-        prev = minor
-    if positive == n:
+    r, sign, swap = bareiss(m)
+    if sign == 0:
+        return Definiteness.DEGENERATE
+    if swap < n:
+        return Definiteness.INDEFINITE
+    if all(r[k][k] > 0 for k in range(n)):
         return Definiteness.POSITIVE_DEFINITE
-    if negative == n:
+    if all((r[k][k] < 0) == (k % 2 == 0) for k in range(n)):
         return Definiteness.NEGATIVE_DEFINITE
     return Definiteness.INDEFINITE
 

@@ -9,7 +9,7 @@ service of that argument, with no fractions and no floating point:
 
   * short_vectors enumerates lattice vectors of an exact given norm,
     already in lexicographic order, from one fraction-free elimination
-    and math.isqrt bounds;
+    (which also checks definiteness) and math.isqrt bounds;
   * contains_sublattice locates a copy of one form inside another;
   * embed_in_diagonal searches for an isometric embedding into the
     negative diagonal lattice of a given rank by orderly generation:
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Iterator, Optional
 
-from .homology import Matrix, symmetric_size
+from .homology import Matrix, bareiss, symmetric_size
 from .kirby import Definiteness, definiteness
 
 
@@ -50,8 +50,9 @@ def _dot(x, y) -> int:
 def _lex_vectors(gram: Matrix, t: int) -> Iterator[tuple[int, ...]]:
     """Yield the norm-t vectors of a positive definite form, sorted.
 
-    One fraction-free (Bareiss) pass over the coordinate-reversed form
-    leaves pivots D_1..D_n (D_0 = 1) and rows M_k with
+    One bareiss pass over the coordinate-reversed form must leave its
+    leading minors D_1..D_n > 0 (D_0 = 1) as pivots, else ValueError,
+    and rows M_k with
 
         q(x) = sum_k Y_k^2 / (D_k D_{k+1}),
         Y_k = D_{k+1} z_k + sum_{j>k} M_k[j] z_j,   z_k = x_{n-1-k}.
@@ -62,17 +63,13 @@ def _lex_vectors(gram: Matrix, t: int) -> Iterator[tuple[int, ...]]:
     (Fincke & Pohst, Math. Comp. 44, 1985).  The walk fixes x_0 first and
     every range upwards, so the vectors come out in lexicographic order.
     """
+    n = len(gram)
+    a, _, swap = bareiss([row[::-1] for row in reversed(gram)])
+    pivots = [1] + [a[k][k] for k in range(n)]
+    if swap < n or min(pivots) <= 0:
+        raise ValueError("short vector enumeration needs a definite form")
     if t <= 0:
         return
-    n = len(gram)
-    a = [[gram[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-    pivots = [1]
-    for k in range(n):
-        pivot, prev = a[k][k], pivots[-1]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        pivots.append(pivot)
     scale = 1
     for k in range(n):
         scale = math.lcm(scale, pivots[k] * pivots[k + 1])
@@ -101,16 +98,14 @@ def _lex_vectors(gram: Matrix, t: int) -> Iterator[tuple[int, ...]]:
 def short_vectors(gram: Matrix, t: int) -> list[tuple[int, ...]]:
     """All integer vectors of norm exactly t in a definite lattice, sorted.
 
-    Negative definite forms are handled by negating both the form and
-    the target norm.  The enumeration is integer-only and produces the
-    vectors in lexicographic order (see _lex_vectors), so nothing is
-    sorted afterwards.
+    A definite form is negative definite iff gram[0][0] < 0; then both
+    the form and t are negated.  One elimination checks definiteness and
+    drives the integer-only walk (see _lex_vectors), whose vectors come
+    out in lexicographic order, so nothing is sorted afterwards.
     """
-    kind = definiteness(gram)
-    if kind is Definiteness.NEGATIVE_DEFINITE:
+    symmetric_size(gram)
+    if gram[0][0] < 0:
         gram, t = _negate(gram), -t
-    elif kind is not Definiteness.POSITIVE_DEFINITE:
-        raise ValueError("short vector enumeration needs a definite form")
     return list(_lex_vectors(gram, t))
 
 

@@ -7,6 +7,7 @@ from contactsurgery.cfrac import (
     NegCF,
     format_rational,
     neg_cf_expand,
+    neg_cf_length,
     neg_cf_value,
     parse_rational,
 )
@@ -83,6 +84,17 @@ def test_round_trip(x):
 def test_length_bounded_by_numerator(x):
     # each step drops the denominator, so the numerator bounds the length
     assert len(neg_cf_expand(x)) <= x.numerator
+
+
+def test_length_without_expanding():
+    for q in range(1, 60):
+        for p in range(q + 1, 4 * q + 30):
+            x = Fraction(p, q)
+            assert neg_cf_length(x) == len(neg_cf_expand(x)), x
+    # 1 + 1/k is k twos; the length comes from Euclid, not k steps
+    assert neg_cf_length(Fraction(10**12 + 1, 10**12)) == 10**12
+    with pytest.raises(ValueError):
+        neg_cf_length(Fraction(1))
 
 
 @given(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=8))

@@ -193,17 +193,32 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+def _cli_process(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
 def test_nonsquare_matrix_under_optimize(tmp_path):
     # shape checks must not be asserts: python -O strips those
     path = tmp_path / "m.txt"
     path.write_text(format_matrix([[1, 2, 3], [4, 5, 6]]))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "contactsurgery.cli", "homology", "--matrix", str(path)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _cli_process("-O", "-m", "contactsurgery.cli", "homology", "--matrix", str(path))
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("slope", [("--slope", "1/200000"), ("--slope=-1/200000",)])
+def test_translate_over_member_budget(slope):
+    # 200,000 members would mean a dense 200,000 x 200,000 linking matrix
+    t0 = time.perf_counter()
+    proc = _cli_process("-m", "contactsurgery.cli", "translate", "--knot", "torus:3,2", *slope)
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "budget" in proc.stderr and "Traceback" not in proc.stderr

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactsurgery.cfrac import neg_cf_value
 from contactsurgery.contact import (
+    MEMBER_BUDGET,
     ContactComponent,
     ContactDiagram,
     Fillability,
@@ -208,6 +209,20 @@ def test_translate_negative_chain_tbs():
     m = pres.linking_matrix()
     assert m == [[-3, -2], [-2, -6]]
     assert abs(det_bareiss(m)) == 14  # |num(-1 - 9/5)|
+
+
+def test_translate_member_budget():
+    k = MEMBER_BUDGET
+    assert len(translate_single(torus_knot(3, 2), Fraction(1, k)).members) == k
+    assert len(translate_single(unknot(), Fraction(-1, k)).members) == k
+    # two components share one budget
+    leg = max_tb_legendrian(unknot())
+    half = ContactComponent(leg, Fraction(1, k // 2))
+    with pytest.raises(ValueError, match="budget"):
+        translate(ContactDiagram((half, ContactComponent(leg, Fraction(-1, k // 2 + 1)))))
+    for r in (Fraction(1, k + 1), Fraction(-1, k + 1), Fraction(-2, 2 * k + 3)):
+        with pytest.raises(ValueError, match="budget"):
+            translate_single(unknot(), r)
 
 
 def test_witness_diagram_homology():

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactsurgery.homology import (
     CyclicDecomposition,
+    bareiss,
     det_bareiss,
     format_matrix,
     h1_from_linking,
@@ -23,6 +24,73 @@ def test_det_frozen():
     assert det_bareiss([[3]]) == 3
     assert det_bareiss([]) == 1
     assert det_bareiss([[1, 2], [2, 4]]) == 0
+
+
+def _zero_pivot_matrix(rng, n, family, symmetric):
+    """A random n x n matrix, most families forcing a zero pivot."""
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if symmetric:
+        a = [[a[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    k = rng.randrange(n)
+    if family == 1:  # a zero first pivot
+        a[0][0] = 0
+    elif family == 2 and k > 0:  # a zero leading minor D_(k+1)
+        for j in range(k + 1):
+            a[k][j] = a[0][j]
+            if symmetric:
+                a[j][k] = a[0][j]
+        if symmetric:
+            a[k][k] = a[0][0]
+    elif family == 3:  # a zero column, so det = 0
+        for i in range(n):
+            a[i][k] = 0
+            if symmetric:
+                a[k][i] = 0
+    return a
+
+
+def test_bareiss_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1968)
+    exchanged = stopped = 0
+    for trial in range(160):
+        n = rng.randint(1, 8)
+        symmetric = trial % 2 == 1
+        a = _zero_pivot_matrix(rng, n, trial // 2 % 4, symmetric)
+        sm = sympy.Matrix(a)
+        det = int(sm.det())
+        assert det_bareiss(a) == det, a
+        r, sign, swap = bareiss(a)
+        assert (sign == 0) == (det == 0)
+        assert all(r[i][j] == 0 for i in range(n) for j in range(min(i, swap)))
+        exchanged += sign != 0 and swap < n
+        stopped += sign == 0
+        if symmetric:
+            minors = [int(sm[: k + 1, : k + 1].det()) for k in range(n)]
+            assert [r[k][k] for k in range(swap)] == minors[:swap], a
+            if swap < n:
+                # the elimination left the minors only where one vanished
+                assert minors[swap] == 0, a
+    assert exchanged >= 20 and stopped >= 20
+
+
+def test_snf_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(1917)
+    for trial in range(120):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        if trial % 3 == 1:
+            a[rng.randrange(rows)] = [0] * cols
+        if trial % 3 == 2:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        want = sympy_snf(sympy.Matrix(a), domain=sympy.ZZ)
+        diag = [abs(int(want[i, i])) for i in range(min(rows, cols))]
+        assert smith_normal_form(a).diagonal == diag, a
 
 
 # Smith forms checked against gcds of minors by hand.

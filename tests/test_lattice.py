@@ -121,6 +121,10 @@ def test_short_vectors_rejects_bad_forms():
     with pytest.raises(ValueError):
         short_vectors([[0]], 1)
     with pytest.raises(ValueError):
+        # a zero leading minor: the elimination exchanges rows, and the
+        # pivots it leaves are all positive
+        short_vectors([[0, 1], [1, 0]], 2)
+    with pytest.raises(ValueError):
         short_vectors([[1, 2], [3, 4]], 2)
     with pytest.raises(ValueError):
         short_vectors([[1, 0]], 1)

@@ -1,0 +1,59 @@
+"""The package's import graph, read from the sources with ast.
+
+cfrac and homology are pure-arithmetic leaves, lattice sits on homology
+and kirby only, and the certificate is assembly that only the CLI and
+the package root pull in.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contactsurgery"
+
+
+def package_imports(path: Path) -> set[str]:
+    """The contactsurgery modules imported anywhere in one source file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module and node.module.startswith("contactsurgery."):
+                out.add(node.module.split(".")[1])
+            elif node.level > 0 and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level > 0:  # from . import x
+                out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("contactsurgery."):
+                    out.add(alias.name.split(".")[1])
+    return out
+
+
+def import_graph() -> dict[str, set[str]]:
+    return {path.stem: package_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_parser_sees_every_import_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from .a import x\nfrom . import b\nimport contactsurgery.c\n"
+        "from contactsurgery.d import y\nimport json\n"
+        "def f():\n    from .e import z\n"
+    )
+    assert package_imports(path) == {"a", "b", "c", "d", "e"}
+
+
+def test_arithmetic_leaves_import_nothing_from_the_package():
+    graph = import_graph()
+    assert graph["cfrac"] == set()
+    assert graph["homology"] == set()
+
+
+def test_lattice_sits_on_homology_and_kirby_only():
+    assert import_graph()["lattice"] <= {"homology", "kirby"}
+
+
+def test_only_cli_and_root_import_the_certificate():
+    graph = import_graph()
+    assert "certificate" in graph
+    assert {name for name, deps in graph.items() if "certificate" in deps} == {"cli", "__init__"}
