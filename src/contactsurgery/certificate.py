@@ -25,8 +25,7 @@ from fractions import Fraction
 from .cfrac import format_rational, neg_cf_expand
 from .contact import torus_knot
 from .floer import DerivationChain, knowledge_for, lspace_propagate, verify_chain
-from .homology import det_bareiss
-from .kirby import Definiteness, PlumbingTree, definiteness, plumbing_presentation
+from .kirby import Definiteness, PlumbingTree, plumbing_presentation
 from .lattice import (
     SublatticeWitness,
     _freeze,
@@ -83,17 +82,16 @@ class NotFillableCertificate:
             return False
         if self.lspace_chain.query != self.slope:
             return False
-        m = self.tree.intersection_matrix()
         if not self.tree.is_tree():
             return False
-        if abs(det_bareiss(m)) != abs(self.slope.numerator):
+        if abs(self.tree.determinant) != abs(self.slope.numerator):
             return False
-        if definiteness(m) is not Definiteness.POSITIVE_DEFINITE:
+        if self.tree.definiteness is not Definiteness.POSITIVE_DEFINITE:
             return False
         lam = lambda_gram(self.a1, self.n)
         if self.sublattice.gram != _freeze(lam):
             return False
-        if self.sublattice.ambient != _freeze(_negate(m)):
+        if self.sublattice.ambient != _freeze(_negate(self.tree.intersection_matrix())):
             return False
         if not self.sublattice.verify():
             return False
@@ -132,8 +130,7 @@ def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
         raise CertificateFailure("lspace", f"no derivation chain reaches {r}")
 
     tree = plumbing_presentation(n, r)
-    m = tree.intersection_matrix()
-    if definiteness(m) is not Definiteness.POSITIVE_DEFINITE:
+    if tree.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise CertificateFailure("plumbing", "intersection form is not positive definite")
 
     terms = neg_cf_expand((r - 4 * n - 2) / (r - 4 * n - 1)).terms
@@ -141,7 +138,7 @@ def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
     if tree.weight("a1") != a1:
         raise CertificateFailure("plumbing", "leg coefficient disagrees with the tree")
     lam = lambda_gram(a1, n)
-    sub = contains_sublattice(_negate(m), lam)
+    sub = contains_sublattice(_negate(tree.intersection_matrix()), lam)
     if sub is None:
         raise CertificateFailure("sublattice", "obstruction form not found in the plumbing")
 

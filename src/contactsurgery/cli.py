@@ -31,12 +31,11 @@ from .contact import (
 from .floer import SlopeKnowledge, knowledge_for, lspace_propagate
 from .homology import (
     CyclicDecomposition,
-    det_bareiss,
     h1_from_linking,
     h1_rational_surgery,
     parse_matrix,
 )
-from .kirby import definiteness, format_plumbing_tree, plumbing_presentation
+from .kirby import format_plumbing_tree, plumbing_presentation
 from .lattice import embed_bound, embed_in_diagonal, lambda_gram
 
 SCHEMA_VERSION = 1
@@ -220,9 +219,8 @@ def cmd_witness(args) -> int:
 def cmd_plumbing(args) -> int:
     r = parse_rational(args.slope)
     tree = plumbing_presentation(args.n, r)
-    m = tree.intersection_matrix()
-    det = det_bareiss(m)
-    kind = definiteness(m).value
+    det = tree.determinant
+    kind = tree.definiteness.value
     if args.json:
         return _emit(
             {

@@ -8,6 +8,12 @@ questions in cyclic groups.  One fraction-free elimination, bareiss,
 gives the exact determinant and leading minors here, to kirby's
 definiteness test and to lattice's short-vector walk.
 
+Both are dense, cubic in the matrix size, and serve general matrices.
+The structured presentations never reach them at full size: a plumbing
+tree's determinant and definiteness come from kirby's leaf-first pass,
+and a pushoff chain's homology from contact's collapse to one row per
+source, which hands h1_from_linking an s x s matrix for s sources.
+
 Matrices are plain lists of lists of ints throughout.
 """
 

@@ -9,6 +9,7 @@ import pytest
 
 from contactsurgery.cli import entry
 from contactsurgery.homology import format_matrix
+from contactsurgery.kirby import PLUMBING_N_BUDGET
 
 
 def run(capsys, *argv):
@@ -100,6 +101,20 @@ def test_plumbing_output(capsys):
     code, out, _ = run(capsys, "plumbing", "--n", "1", "--slope", "2")
     assert "k 2" in out.splitlines()
     assert "determinant: 2" in out
+
+
+def test_plumbing_is_not_cubic_in_n(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "plumbing", "--n", "300", "--slope", "2")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 0
+    assert "determinant: 2" in out and "definiteness: positive-definite" in out
+
+
+def test_plumbing_over_budget(capsys):
+    code, out, err = run(capsys, "plumbing", "--n", str(PLUMBING_N_BUDGET + 1), "--slope", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "budget" in err
 
 
 def test_lattice_embed_obstruction(capsys):

@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactsurgery import contact
 from contactsurgery.cfrac import neg_cf_value
 from contactsurgery.contact import (
     MEMBER_BUDGET,
@@ -11,6 +13,8 @@ from contactsurgery.contact import (
     ContactDiagram,
     Fillability,
     LegendrianKnot,
+    Member,
+    PlusMinusPresentation,
     Tightness,
     UnsupportedKnotError,
     c1_coefficient,
@@ -32,7 +36,7 @@ from contactsurgery.contact import (
     witness_diagram,
     witness_nonisomorphic,
 )
-from contactsurgery.homology import det_bareiss
+from contactsurgery.homology import det_bareiss, h1_from_linking
 
 
 def test_torus_knot_table():
@@ -384,3 +388,99 @@ def test_diagram_validation():
         ContactDiagram((u, u), linking=((0, 1, 1), (0, 1, 2)))
     with pytest.raises(ValueError):
         ContactComponent(LegendrianKnot(unknot(), -1, 0), Fraction(0))
+
+
+KNOTS = (unknot(), torus_knot(3, 2), torus_knot(5, 2), twist_knot(-2))
+
+
+def _random_diagram(rng, sources, top, den):
+    """Sources on random knots below max tb, coefficients p/q with
+    0 < |p| <= top and q <= den, random linking between sources."""
+    comps = []
+    for _ in range(sources):
+        knot = rng.choice(KNOTS)
+        leg = LegendrianKnot(knot, knot.max_tb - rng.randint(0, 2), rng.randint(-1, 1))
+        r = Fraction(rng.choice((-1, 1)) * rng.randint(1, top), rng.randint(1, den))
+        comps.append(ContactComponent(leg, r))
+    linking = tuple(
+        (i, j, rng.randint(-3, 3))
+        for i in range(sources) for j in range(i + 1, sources) if rng.random() < 0.7
+    )
+    return ContactDiagram(tuple(comps), linking)
+
+
+def _assert_presents(a, h):
+    """Every relation column of a vanishes on the meridian images."""
+    mods = h.orders + (0,) * h.free_rank
+    assert len(h.generator_map) == len(a)
+    for j in range(len(a)):
+        for t, d in enumerate(mods):
+            total = sum(a[i][j] * h.generator_map[i][t] for i in range(len(a)))
+            assert total % d == 0 if d else total == 0, (a, h)
+
+
+def test_first_homology_against_dense_oracle():
+    rng = random.Random(2004)
+    cases = [translate(witness_diagram(alpha)) for alpha in range(1, 9)]
+    for k in range(1, 21):
+        for knot in KNOTS:
+            for r in (Fraction(1, k), Fraction(-1, k), Fraction(7, k), Fraction(-k, 3)):
+                cases.append(translate_single(knot, r))
+    zero = ContactComponent(max_tb_legendrian(unknot()), Fraction(1))  # framing 0
+    cases.append(translate(ContactDiagram((zero, zero))))  # Z^2
+    # the dense oracle's Smith form slows steeply with the member count
+    # (one 9 x 9 three-source matrix runs for minutes), so these stay small
+    while len(cases) < 600:
+        pres = translate(_random_diagram(rng, rng.randint(1, 3), 6, 3))
+        if len(pres.members) <= 6:
+            cases.append(pres)
+    sources = set()
+    free = 0
+    for pres in cases:
+        a = pres.linking_matrix()
+        h, want = pres.first_homology(), h1_from_linking(a)
+        assert (h.orders, h.free_rank) == (want.orders, want.free_rank), a
+        _assert_presents(a, h)
+        sources.add(len({m.source for m in pres.members}))
+        free += h.free_rank > 0
+    assert sources == {1, 2, 3}
+    assert free >= 20
+
+
+def test_first_homology_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(136)
+    cases = [translate(_random_diagram(rng, 3, 12, 6)) for _ in range(60)]
+    # the nine-member diagram on which the dense Smith form stalls
+    cases.append(translate(ContactDiagram(
+        (ContactComponent(LegendrianKnot(unknot(), -2, 0), Fraction(-8, 3)),
+         ContactComponent(LegendrianKnot(twist_knot(-2), 1, 0), Fraction(-1, 2)),
+         ContactComponent(LegendrianKnot(torus_knot(3, 2), 1, 0), Fraction(5))),
+        ((0, 1, 3), (0, 2, 3), (1, 2, -3)),
+    )))
+    for pres in cases:
+        a = pres.linking_matrix()
+        diag = list(sympy_snf(sympy.Matrix(a), domain=sympy.ZZ).diagonal())
+        h = pres.first_homology()
+        assert h.orders == tuple(abs(int(d)) for d in diag if abs(d) > 1)
+        assert h.free_rank == diag.count(0)
+        _assert_presents(a, h)
+    assert max(len(pres.members) for pres in cases) >= 15
+
+
+def test_first_homology_needs_unit_signs():
+    pres = PlusMinusPresentation(
+        ContactDiagram((ContactComponent(max_tb_legendrian(unknot()), Fraction(1)),)),
+        (Member(0, 2, -1, 0, 0),),
+    )
+    with pytest.raises(ValueError, match="sign"):
+        pres.first_homology()
+
+
+def test_witness_self_check_survives_optimize(monkeypatch):
+    # the checks are raises, not asserts, so python -O keeps them
+    monkeypatch.setattr(contact, "order_in_cyclic", lambda n, x: 1)
+    with pytest.raises(RuntimeError, match="self-check"):
+        witness_nonisomorphic(2)

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from contactsurgery import kirby
 from contactsurgery.homology import det_bareiss
 from contactsurgery.kirby import (
+    PLUMBING_N_BUDGET,
     Component,
     Definiteness,
     GraphDiagram,
@@ -27,6 +29,7 @@ from contactsurgery.kirby import (
     rational_to_integer,
     rolfsen_twist,
     slam_dunk,
+    _leaf_first,
 )
 
 
@@ -546,3 +549,71 @@ def test_definiteness_of_negated_form():
     m = plumbing_presentation(1, Fraction(1)).intersection_matrix()
     neg = [[-x for x in row] for row in m]
     assert definiteness(neg) is Definiteness.NEGATIVE_DEFINITE
+
+
+def _random_forest(rng, n):
+    """Weights in [-3, 3]; vertices listed in a shuffled order, so leaves
+    and roots of the leaf-first pass fall anywhere in the list."""
+    label = list(range(n))
+    rng.shuffle(label)
+    vertices = tuple((f"v{i}", rng.randint(-3, 3)) for i in range(n))
+    edges = tuple(
+        (f"v{label[i]}", f"v{label[rng.randrange(i)]}")
+        for i in range(1, n)
+        if rng.random() < 0.9  # sometimes a forest
+    )
+    return PlumbingTree(vertices, edges)
+
+
+def test_tree_form_against_dense_elimination():
+    rng = random.Random(1981)
+    seen = set()
+    hyperbolic = kernel = 0
+    for trial in range(3000):
+        tree = _random_forest(rng, rng.randint(1, 9))
+        m = tree.intersection_matrix()
+        assert tree.determinant == det_bareiss(m), tree
+        assert tree.definiteness is definiteness(m), tree
+        seen.add(tree.definiteness)
+        found = _leaf_first(tree.vertices, tree.edges)
+        if found is None:  # a zero pivot with no parent left
+            kernel += 1
+            assert tree.definiteness is Definiteness.DEGENERATE
+        else:
+            hyperbolic += found[1] > 0  # a zero pivot at a leaf with a parent
+    assert seen == set(Definiteness)
+    assert hyperbolic >= 100 and kernel >= 100
+    # a zero leaf beside its parent is a hyperbolic pair; a lone zero is in the radical
+    pair = PlumbingTree((("a", 5), ("b", 0)), (("a", "b"),))
+    assert (pair.determinant, pair.definiteness) == (-1, Definiteness.INDEFINITE)
+    assert PlumbingTree((("a", 0), ("b", 0)), ()).definiteness is Definiteness.DEGENERATE
+
+
+def test_tree_form_on_plumbings():
+    for n, r in ((1, Fraction(3)), (2, Fraction(7, 2)), (11, Fraction(-100, 37)), (3, Fraction(0))):
+        tree = plumbing_presentation(n, r)
+        m = tree.intersection_matrix()
+        assert (tree.determinant, tree.definiteness) == (det_bareiss(m), definiteness(m))
+
+
+def test_tree_form_needs_a_forest():
+    square = PlumbingTree(
+        tuple((v, 2) for v in "abcd"), (("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"))
+    )
+    with pytest.raises(ValueError, match="cycle"):
+        square.determinant
+    with pytest.raises(ValueError):
+        PlumbingTree((), ()).definiteness
+
+
+def test_plumbing_budget():
+    with pytest.raises(ValueError, match="budget"):
+        plumbing_move_sequence(PLUMBING_N_BUDGET + 1, Fraction(2))
+
+
+def test_plumbing_self_check_survives_optimize(monkeypatch):
+    # the check is a raise, not an assert, so python -O keeps it
+    states = plumbing_move_sequence(1, Fraction(3))
+    monkeypatch.setattr(kirby, "plumbing_move_sequence", lambda n, r: states[:-1])
+    with pytest.raises(InternalConsistencyError, match="twists"):
+        plumbing_presentation(1, Fraction(3))

@@ -2,7 +2,9 @@
 
 cfrac and homology are pure-arithmetic leaves, lattice sits on homology
 and kirby only, and the certificate is assembly that only the CLI and
-the package root pull in.
+the package root pull in.  The CLI and the certificate run no
+elimination of their own: they read a plumbing's determinant and
+definiteness off the tree.
 """
 
 import ast
@@ -57,3 +59,20 @@ def test_only_cli_and_root_import_the_certificate():
     graph = import_graph()
     assert "certificate" in graph
     assert {name for name, deps in graph.items() if "certificate" in deps} == {"cli", "__init__"}
+
+
+def imported_names(path: Path) -> set[str]:
+    """Every name imported from contactsurgery modules in one source file."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (
+            node.module or "").startswith("contactsurgery"))
+        for alias in node.names
+    }
+
+
+def test_cli_and_certificate_run_no_elimination():
+    for name in ("cli", "certificate"):
+        names = imported_names(PACKAGE / f"{name}.py")
+        assert not names & {"det_bareiss", "definiteness", "bareiss"}, name
