@@ -557,9 +557,7 @@ class PlumbingTree:
         if found is None:
             return 0, Definiteness.DEGENERATE
         pivots, pairs = found
-        det = Fraction(-1 if pairs % 2 else 1)
-        for x in pivots:
-            det *= x
+        det = math.prod(pivots, start=(-1) ** pairs)
         negative = pairs + sum(1 for x in pivots if x < 0)
         if negative == 0:
             kind = Definiteness.POSITIVE_DEFINITE
