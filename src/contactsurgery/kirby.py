@@ -15,10 +15,10 @@ surgered 3-manifold:
   * rational_to_integer is the inverse dunk iterated: a rational
     coefficient becomes a chain of integrally framed unknots.
 
-Every move preserves the order of the first homology of the result,
-computed from the generalized linking matrix (row i is scaled by the
-framing denominator of component i).  That magnitude doubles as the
-internal consistency check for the longer pipelines.
+Every move preserves the order of the first homology of the surgered
+manifold.  The plumbing pipeline checks that order at its end: the
+tree's determinant must equal the numerator of the surgery slope up to
+sign.
 
 The pipeline at the bottom converts r-surgery on the (2n+1, 2) torus
 knot, r < 4n, into a plumbing of disk bundles along a three-legged
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .cfrac import format_rational, neg_cf_expand, parse_rational
-from .homology import Matrix, bareiss, det_bareiss, symmetric_size
+from .homology import Matrix, bareiss, symmetric_size
 
 
 class MoveError(ValueError):
@@ -138,26 +138,6 @@ class GraphDiagram:
     def neighbors(self, cid: str) -> list[tuple[str, int]]:
         self.component(cid)
         return list(self._nbrs[cid])
-
-
-def generalized_linking_matrix(d: GraphDiagram) -> Matrix:
-    """Row i: framing numerator on the diagonal, denominator-scaled linking off it."""
-    ids = d.ids()
-    n = len(ids)
-    m = [[0] * n for _ in range(n)]
-    for i, comp in enumerate(d.components):
-        m[i][i] = comp.coeff.numerator
-        for j in range(n):
-            if j != i:
-                m[i][j] = comp.coeff.denominator * d.lk(ids[i], ids[j])
-    return m
-
-
-def homology_magnitude(d: GraphDiagram) -> int:
-    """|H1| of the surgered manifold, 0 when the group is infinite."""
-    if not d.components:
-        return 1
-    return abs(det_bareiss(generalized_linking_matrix(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +569,6 @@ class PlumbingTree:
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        if not ids:
-            return True
         stack, reached = [ids[0]], {ids[0]}
         while stack:
             for nxt in adj[stack.pop()]:

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
+from typing import Optional
 
-from contactsurgery.homology import det_bareiss
-from contactsurgery.kirby import Definiteness, definiteness
+from contactsurgery.floer import DerivationChain, DerivationStep, SlopeKnowledge
+from contactsurgery.homology import Matrix, det_bareiss
+from contactsurgery.kirby import Definiteness, GraphDiagram, definiteness
 from contactsurgery.lattice import EmbeddingWitness
 
 
@@ -153,3 +156,81 @@ def seen_set_embed_in_diagonal(gram, m):
     for depth, idx in enumerate(order):
         vectors[idx] = placed[depth]
     return EmbeddingWitness(tuple(map(tuple, gram)), m, tuple(vectors))
+
+
+def generalized_linking_matrix(d: GraphDiagram) -> Matrix:
+    """Row i: framing numerator on the diagonal, denominator-scaled linking off it."""
+    ids = d.ids()
+    n = len(ids)
+    m = [[0] * n for _ in range(n)]
+    for i, comp in enumerate(d.components):
+        m[i][i] = comp.coeff.numerator
+        for j in range(n):
+            if j != i:
+                m[i][j] = comp.coeff.denominator * d.lk(ids[i], ids[j])
+    return m
+
+
+def homology_magnitude(d: GraphDiagram) -> int:
+    """|H1| of the surgered manifold, 0 when the group is infinite."""
+    if not d.components:
+        return 1
+    return abs(det_bareiss(generalized_linking_matrix(d)))
+
+
+def bfs_lspace_propagate(kb: SlopeKnowledge, query: Fraction) -> Optional[DerivationChain]:
+    """Derive the query slope from the seeds by breadth-first search.
+
+    The reference for floer.lspace_propagate, which builds the same
+    chains in closed form.
+
+    Slopes are tracked as unreduced pairs (a, b).  Three rules apply:
+    integral slopes above 2g-1 step down by one; any slope with value
+    at least 2g-1 steps up by 1/b; an integral slope may be rewritten
+    with denominator q before stepping up in finer increments.  The
+    search is breadth-first, so returned chains have minimal length.
+    """
+    query = Fraction(query)
+    if query <= 0:
+        return None
+    floor = kb.floor_slope
+    qd = query.denominator
+    cap = max(max(kb.seeds), query)
+    start_states = [(s, 1) for s in kb.seeds]
+    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
+    queue = deque()
+    for st in start_states:
+        if st not in parent:
+            parent[st] = (None, "seed")
+            queue.append(st)
+    goal = None
+    for st in start_states:
+        if Fraction(*st) == query:
+            goal = st
+    while queue and goal is None:
+        a, b = queue.popleft()
+        moves: list[tuple[tuple[int, int], str]] = []
+        if b == 1 and a > floor:
+            moves.append(((a - 1, 1), "step_down"))
+        if Fraction(a, b) >= floor and Fraction(a + 1, b) <= cap:
+            moves.append(((a + 1, b), "step_up"))
+        if b == 1 and qd > 1:
+            moves.append(((a * qd, qd), "represent"))
+        for nxt, kind in moves:
+            if nxt in parent:
+                continue
+            parent[nxt] = ((a, b), kind)
+            if Fraction(*nxt) == query:
+                goal = nxt
+                break
+            queue.append(nxt)
+    if goal is None:
+        return None
+    steps = []
+    cur = goal
+    while cur is not None:
+        prev, kind = parent[cur]
+        steps.append(DerivationStep(kind, cur[0], cur[1]))
+        cur = prev
+    steps.reverse()
+    return DerivationChain(kb.knot.name, query, tuple(steps))

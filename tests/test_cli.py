@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from contactsurgery.cli import entry
+from contactsurgery.contact import WITNESS_M_BUDGET
 from contactsurgery.homology import format_matrix
 from contactsurgery.kirby import PLUMBING_N_BUDGET
 
@@ -227,13 +228,29 @@ def test_nonsquare_matrix_under_optimize(tmp_path):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
-@pytest.mark.parametrize("slope", [("--slope", "1/200000"), ("--slope=-1/200000",)])
-def test_translate_over_member_budget(slope):
-    # 200,000 members would mean a dense 200,000 x 200,000 linking matrix
+def assert_over_budget(*argv):
+    """The CLI refuses argv within 5 s: exit 1, one error line, no traceback."""
     t0 = time.perf_counter()
-    proc = _cli_process("-m", "contactsurgery.cli", "translate", "--knot", "torus:3,2", *slope)
+    proc = _cli_process("-m", "contactsurgery.cli", *argv)
     assert time.perf_counter() - t0 < 5.0
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("slope", [("--slope", "1/200000"), ("--slope=-1/200000",)])
+def test_translate_over_member_budget(slope):
+    # 200,000 members would mean a dense 200,000 x 200,000 linking matrix
+    assert_over_budget("translate", "--knot", "torus:3,2", *slope)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lspace", "--knot", "torus:3,2", "--query", "10000000"),
+    ("lspace", "--knot", "torus:3,2", "--query", "10000000", "--json"),
+    ("witness", "--m", str(WITNESS_M_BUDGET + 1)),
+    ("witness", "--m", "1300", "--json"),
+])
+def test_over_output_budget(argv):
+    # a 10^7-step chain, or a witness product past the 4300-digit limit
+    assert_over_budget(*argv)

@@ -9,6 +9,7 @@ from contactsurgery import contact
 from contactsurgery.cfrac import neg_cf_value
 from contactsurgery.contact import (
     MEMBER_BUDGET,
+    WITNESS_M_BUDGET,
     ContactComponent,
     ContactDiagram,
     Fillability,
@@ -303,6 +304,15 @@ def test_witness_report_windows():
         for e in rep.entries:
             assert 0 <= e.i <= rep.alpha - 1
             assert e.c1 == rep.product // e.prime
+
+
+def test_witness_budget():
+    rep = witness_nonisomorphic(WITNESS_M_BUDGET)
+    assert len(rep.entries) == WITNESS_M_BUDGET
+    # the product stays printable: below the 4300-digit int-to-str limit
+    assert len(str(rep.product)) < 4300
+    with pytest.raises(ValueError, match="budget"):
+        witness_nonisomorphic(WITNESS_M_BUDGET + 1)
 
 
 def test_witness_bound_exhaustion():

@@ -1,11 +1,14 @@
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from contactsurgery.certificate import donaldson_certificate
 from contactsurgery.contact import torus_knot, twist_knot, unknot
 from contactsurgery.floer import (
+    CHAIN_BUDGET,
     DerivationChain,
     DerivationStep,
     DimLedger,
@@ -24,6 +27,8 @@ from contactsurgery.floer import (
     vanishing_predicate,
     verify_chain,
 )
+
+from oracles import bfs_lspace_propagate
 
 
 def test_vanishing_predicate():
@@ -206,6 +211,12 @@ def test_propagate_underivable():
     assert lspace_propagate(kb5, Fraction(3)) is not None
 
 
+def chain_length(s, p, q):
+    """Steps in the chain from seed s to p/q: seed, integer walk, 1/q walk."""
+    m = p // q
+    return 1 + abs(s - m) + (q > 1) * (1 + p - m * q)
+
+
 def test_propagate_small_grid():
     # over the 10x10 grid of reduced slopes, exactly those with value at
     # least the floor slope are derivable
@@ -219,13 +230,69 @@ def test_propagate_small_grid():
     assert len(reduced) == 63
     for p, q in reduced:
         chain = lspace_propagate(kb, Fraction(p, q))
+        assert chain == bfs_lspace_propagate(kb, Fraction(p, q)), (p, q)
         if Fraction(p, q) >= 1:
             assert chain is not None, (p, q)
             assert verify_chain(kb, chain)
             last = chain.steps[-1]
             assert Fraction(last.numerator, last.denominator) == Fraction(p, q)
+            assert len(chain.steps) == chain_length(chain.steps[0].numerator, p, q)
         else:
             assert chain is None, (p, q)
+
+
+def test_propagate_against_bfs():
+    # genera 1-3; every seed tuple of length one or two over a window
+    # around the floor 2g-1 (so seeds below it, duplicates and ties
+    # s = m - d, m + d all occur) and every seventh triple; every p/q with
+    # q <= 4 up to the floor + 6, and nonpositive queries
+    cases = derivable = 0
+    for knot in (torus_knot(3, 2), torus_knot(5, 2), torus_knot(7, 2)):
+        floor = 2 * knot.slice_genus - 1
+        window = range(max(1, floor - 2), floor + 6)
+        tuples = [
+            t
+            for k in (1, 2, 3)
+            for i, t in enumerate(itertools.product(window, repeat=k))
+            if k < 3 or i % 7 == 0
+        ]
+        queries = [Fraction(p, q) for q in range(1, 5) for p in range(-q, (floor + 6) * q + 1)]
+        queries = sorted(set(queries))
+        for seeds in tuples:
+            kb = SlopeKnowledge(knot, seeds)
+            for query in queries:
+                chain = lspace_propagate(kb, query)
+                assert chain == bfs_lspace_propagate(kb, query), (seeds, query)
+                cases += 1
+                if chain is not None:
+                    derivable += 1
+                    assert verify_chain(kb, chain)
+                    first = chain.steps[0].numerator
+                    assert len(chain.steps) == chain_length(
+                        first, query.numerator, query.denominator
+                    )
+    assert cases > 10_000 and 0 < derivable < cases
+
+
+def test_chain_budget():
+    kb = knowledge_for(torus_knot(3, 2))  # seed 5, floor 1
+    chain = lspace_propagate(kb, Fraction(5 + CHAIN_BUDGET - 1))
+    assert len(chain.steps) == CHAIN_BUDGET
+    with pytest.raises(ValueError, match="budget"):
+        lspace_propagate(kb, Fraction(5 + CHAIN_BUDGET))
+    q = CHAIN_BUDGET - 1  # seed, represent 5q/q, then q - 1 steps of 1/q
+    chain = lspace_propagate(kb, Fraction(6 * q - 1, q))
+    assert len(chain.steps) == CHAIN_BUDGET
+    with pytest.raises(ValueError, match="budget"):
+        lspace_propagate(kb, Fraction(6 * CHAIN_BUDGET - 1, CHAIN_BUDGET))
+    # a seed query is one step whatever its size
+    big = SlopeKnowledge(torus_knot(3, 2), (10 * CHAIN_BUDGET,))
+    assert len(lspace_propagate(big, Fraction(10 * CHAIN_BUDGET)).steps) == 1
+    # the certificate derives its slope here too: r = 3 - 1/q lies in
+    # [1, 4), and its chain from the seed 5 has q + 4 steps
+    q = 2 * CHAIN_BUDGET + 1
+    with pytest.raises(ValueError, match="budget"):
+        donaldson_certificate(1, Fraction(3 * q - 1, q))
 
 
 def test_verify_chain_rejects_tampering():

@@ -18,9 +18,7 @@ from contactsurgery.kirby import (
     definiteness,
     format_graph_diagram,
     format_plumbing_tree,
-    generalized_linking_matrix,
     handle_slide,
-    homology_magnitude,
     moser_seifert,
     parse_graph_diagram,
     parse_plumbing_tree,
@@ -31,6 +29,8 @@ from contactsurgery.kirby import (
     slam_dunk,
     _leaf_first,
 )
+
+from oracles import generalized_linking_matrix, homology_magnitude
 
 
 def unknot_diagram(*coeffs, lk=()):

@@ -76,3 +76,8 @@ def test_cli_and_certificate_run_no_elimination():
     for name in ("cli", "certificate"):
         names = imported_names(PACKAGE / f"{name}.py")
         assert not names & {"det_bareiss", "definiteness", "bareiss"}, name
+
+
+def test_kirby_keeps_no_test_only_determinant():
+    # the dense |H1| of a diagram is a test oracle (tests/oracles.py)
+    assert "det_bareiss" not in imported_names(PACKAGE / "kirby.py")
