@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .cfrac import NegCF, format_rational, neg_cf_expand, neg_cf_length, parse_rational
 from .homology import CyclicDecomposition, Matrix, h1_from_linking, order_in_cyclic
@@ -576,10 +576,12 @@ def _odd_primes_from(start: int) -> Iterator[int]:
 WITNESS_M_BUDGET = 500
 
 
-def _self_check(ok: bool, what: str) -> None:
-    # a raise, not an assert: python -O must keep the witness checks
+def _self_check(ok: bool, what: Callable[[], str]) -> None:
+    # a raise, not an assert: python -O must keep the witness checks.
+    # what builds the message only on failure; the product and the
+    # cofactors run to thousands of digits.
     if not ok:
-        raise RuntimeError(f"witness self-check failed: {what}")
+        raise RuntimeError(f"witness self-check failed: {what()}")
 
 
 def witness_nonisomorphic(m: int, search_bound: int = 10_000) -> WitnessReport:
@@ -612,20 +614,21 @@ def witness_nonisomorphic(m: int, search_bound: int = 10_000) -> WitnessReport:
     k = (product - 3) // 4
     alpha = 2 * k
     group_order = 2 * alpha + 3
-    _self_check(group_order == product, f"group order {group_order} is not {product}")
+    _self_check(group_order == product, lambda: f"group order {group_order} is not {product}")
     entries = []
     for p in primes:
         cofactor = product // p
         i = (cofactor + alpha - 1) // 2
-        _self_check((cofactor + alpha - 1) % 2 == 0, f"cofactor {cofactor} has the wrong parity")
-        _self_check(0 <= i <= alpha - 1, f"structure index {i} outside [0, {alpha - 1}]")
+        _self_check((cofactor + alpha - 1) % 2 == 0,
+                    lambda: f"cofactor {cofactor} has the wrong parity")
+        _self_check(0 <= i <= alpha - 1, lambda: f"structure index {i} outside [0, {alpha - 1}]")
         c1 = c1_coefficient(alpha, i)
-        _self_check(c1 == cofactor, f"c1 {c1} is not the cofactor {cofactor}")
+        _self_check(c1 == cofactor, lambda: f"c1 {c1} is not the cofactor {cofactor}")
         order = order_in_cyclic(group_order, c1)
-        _self_check(order == p, f"c1 has order {order}, not {p}")
+        _self_check(order == p, lambda: f"c1 has order {order}, not {p}")
         entries.append(WitnessEntry(p, i, c1, order))
     orders = [e.order for e in entries]
-    _self_check(len(set(orders)) == len(orders), f"repeated orders {orders}")
+    _self_check(len(set(orders)) == len(orders), lambda: f"repeated orders {orders}")
     return WitnessReport(
         primes=primes,
         product=product,

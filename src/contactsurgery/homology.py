@@ -2,11 +2,13 @@
 
 The first homology of a three-manifold given by integral surgery on a
 link is the cokernel of the linking matrix.  We compute Smith normal
-forms with full transform tracking so that we can express the meridian
+forms with both transforms, so that we can express the meridian
 generators in terms of the cyclic factors, and answer order-of-element
-questions in cyclic groups.  One fraction-free elimination, bareiss,
-gives the exact determinant and leading minors here, to kirby's
-definiteness test and to lattice's short-vector walk.
+questions in cyclic groups.  The elimination takes the least entry left
+as its pivot every round, which keeps the transforms' entries small.
+One fraction-free elimination, bareiss, gives the exact determinant and
+leading minors here, to kirby's definiteness test and to lattice's
+short-vector walk.
 
 Both are dense, cubic in the matrix size, and serve general matrices.
 The structured presentations never reach them at full size: a plumbing
@@ -104,10 +106,14 @@ class SmithForm:
 def smith_normal_form(a: Matrix) -> SmithForm:
     """Smith normal form over the integers, tracking both transforms.
 
-    Pivots by smallest nonzero absolute value (row-major tie break),
-    clears the pivot row and column with Euclidean remainder swaps, and
-    enforces the divisibility chain at each level by folding any
-    offending row into the pivot row before moving on.
+    Each round swaps the least nonzero |entry| of the remaining block to
+    (k, k), ties broken row-major, and reduces the rows below and the
+    columns to the right by floor quotients.  A remainder left in row or
+    column k is smaller than the pivot and becomes the next round's
+    pivot.  Once both are clear, a block row with an entry the pivot does
+    not divide is added to row k for another round; otherwise the pivot
+    is made positive and the next level starts.  Re-picking the least
+    entry every round keeps the entries of D, U and V small.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -116,79 +122,40 @@ def smith_normal_form(a: Matrix) -> SmithForm:
     d = mat_copy(a)
     u = mat_identity(rows)
     v = mat_identity(cols)
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for t in range(rows):
-            d[t][i], d[t][j] = d[t][j], d[t][i]
-        for t in range(cols):
-            v[t][i], v[t][j] = v[t][j], v[t][i]
-
     k = 0
-    while k < rows and k < cols:
-        pivot = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                x = d[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(d[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    while k < min(rows, cols):
+        least = min(((abs(x), i, j) for i in range(k, rows)
+                     for j, x in enumerate(d[i]) if j >= k and x), default=None)
+        if least is None:
             break
-        if pivot[0] != k:
-            swap_rows(k, pivot[0])
-        if pivot[1] != k:
-            swap_cols(k, pivot[1])
-
-        while True:
-            progressed = True
-            while progressed:
-                progressed = False
-                for i in range(k + 1, rows):
-                    if d[i][k] == 0:
-                        continue
-                    q = d[i][k] // d[k][k]
-                    for t in range(cols):
-                        d[i][t] -= q * d[k][t]
-                    for t in range(rows):
-                        u[i][t] -= q * u[k][t]
-                    if d[i][k] != 0:
-                        # Euclidean remainder: promote it to be the pivot
-                        swap_rows(i, k)
-                        progressed = True
-                for j in range(k + 1, cols):
-                    if d[k][j] == 0:
-                        continue
-                    q = d[k][j] // d[k][k]
-                    for t in range(rows):
-                        d[t][j] -= q * d[t][k]
-                    for t in range(cols):
-                        v[t][j] -= q * v[t][k]
-                    if d[k][j] != 0:
-                        swap_cols(j, k)
-                        progressed = True
-            # pivot row and column are clear; make the pivot divide the block
-            offender = None
-            for i in range(k + 1, rows):
-                if any(d[i][j] % d[k][k] for j in range(k + 1, cols)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            for t in range(cols):
-                d[k][t] += d[offender][t]
-            for t in range(rows):
-                u[k][t] += u[offender][t]
+        _, pi, pj = least
+        d[k], d[pi], u[k], u[pi] = d[pi], d[k], u[pi], u[k]
+        for row in d + v:
+            row[k], row[pj] = row[pj], row[k]
+        top, pivot = d[k], d[k][k]
+        for i in range(k + 1, rows):
+            q = d[i][k] // pivot
+            if q:
+                d[i] = [x - q * y for x, y in zip(d[i], top)]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        for j in range(k + 1, cols):
+            q = top[j] // pivot
+            if q:
+                for row in d[k:] + v:
+                    row[j] -= q * row[k]
+        if any(d[i][k] for i in range(k + 1, rows)) or any(top[k + 1:]):
+            continue
+        bad = next((i for i in range(k + 1, rows)
+                    if any(x % pivot for x in d[i][k + 1:])), None)
+        if bad is not None:
+            d[k] = [x + y for x, y in zip(top, d[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
+            continue
+        if pivot < 0:
+            top[k] = -pivot
+            for row in v:
+                row[k] = -row[k]
         k += 1
-
-    for i in range(min(rows, cols)):
-        if d[i][i] < 0:
-            for t in range(rows):
-                d[t][i] = -d[t][i]
-            for t in range(cols):
-                v[t][i] = -v[t][i]
     return SmithForm(d, u, v)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional
 
 from contactsurgery.floer import DerivationChain, DerivationStep, SlopeKnowledge
-from contactsurgery.homology import Matrix, det_bareiss
+from contactsurgery.homology import Matrix, det_bareiss, smith_normal_form
 from contactsurgery.kirby import Definiteness, GraphDiagram, definiteness
 from contactsurgery.lattice import EmbeddingWitness
 
@@ -19,6 +19,28 @@ def mat_mul(a, b):
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def check_snf(a):
+    """smith_normal_form(a), after checking U A V = D exactly, U and V
+    unimodular, D diagonal, and its diagonal a nonnegative divisor chain."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    snf = smith_normal_form(a)
+    assert mat_mul(mat_mul(snf.u, a), snf.v) == snf.d
+    assert abs(det_bareiss(snf.u)) == 1
+    assert abs(det_bareiss(snf.v)) == 1
+    diag = snf.diagonal
+    for i in range(rows):
+        for j in range(cols):
+            if i != j:
+                assert snf.d[i][j] == 0
+    for i in range(len(diag) - 1):
+        if diag[i] == 0:
+            assert diag[i + 1] == 0
+        else:
+            assert diag[i + 1] % diag[i] == 0
+    assert all(x >= 0 for x in diag)
+    return snf
 
 
 def determinantal_divisors(a):

@@ -209,6 +209,19 @@ def test_usage_errors_exit_two():
     assert exc.value.code == 2
 
 
+NINE_BY_NINE = [
+    [-5, -4, 3, 3, 3, 3, 3, 3, 3],
+    [-4, -6, 3, 3, 3, 3, 3, 3, 3],
+    [3, 3, 0, 1, -3, -3, -3, -3, -3],
+    [3, 3, 1, 0, -3, -3, -3, -3, -3],
+    [3, 3, -3, -3, 2, 1, 1, 1, 1],
+    [3, 3, -3, -3, 1, -1, 0, 0, 0],
+    [3, 3, -3, -3, 1, 0, -1, 0, 0],
+    [3, 3, -3, -3, 1, 0, 0, -1, 0],
+    [3, 3, -3, -3, 1, 0, 0, 0, -1],
+]
+
+
 def _cli_process(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -226,6 +239,18 @@ def test_nonsquare_matrix_under_optimize(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_dense_matrix_homology_is_fast(tmp_path):
+    # the 9 x 9 linking matrix of a three-source diagram, on which an
+    # elimination that lets its transforms grow ran for minutes
+    path = tmp_path / "nine.txt"
+    path.write_text(format_matrix(NINE_BY_NINE))
+    t0 = time.perf_counter()
+    proc = _cli_process("-m", "contactsurgery.cli", "homology", "--matrix", str(path))
+    assert time.perf_counter() - t0 < 5.0
+    assert proc.returncode == 0
+    assert proc.stdout == "h1: Z/507\norder: 507\n"
 
 
 def assert_over_budget(*argv):

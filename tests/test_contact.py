@@ -438,11 +438,13 @@ def test_first_homology_against_dense_oracle():
                 cases.append(translate_single(knot, r))
     zero = ContactComponent(max_tb_legendrian(unknot()), Fraction(1))  # framing 0
     cases.append(translate(ContactDiagram((zero, zero))))  # Z^2
-    # the dense oracle's Smith form slows steeply with the member count
-    # (one 9 x 9 three-source matrix runs for minutes), so these stay small
     while len(cases) < 600:
         pres = translate(_random_diagram(rng, rng.randint(1, 3), 6, 3))
         if len(pres.members) <= 6:
+            cases.append(pres)
+    while len(cases) < 660:
+        pres = translate(_random_diagram(rng, 3, 12, 6))
+        if len(pres.members) <= 18:
             cases.append(pres)
     sources = set()
     free = 0
