@@ -8,7 +8,19 @@ from typing import Optional
 
 from contactsurgery.floer import DerivationChain, DerivationStep, SlopeKnowledge
 from contactsurgery.homology import Matrix, det_bareiss, smith_normal_form
-from contactsurgery.kirby import Definiteness, GraphDiagram, definiteness
+from contactsurgery.kirby import (
+    PLUMBING_N_BUDGET,
+    Component,
+    Definiteness,
+    GraphDiagram,
+    InternalConsistencyError,
+    blow_up,
+    definiteness,
+    handle_slide,
+    rational_to_integer,
+    rolfsen_twist,
+    slam_dunk,
+)
 from contactsurgery.lattice import EmbeddingWitness
 
 
@@ -256,3 +268,54 @@ def bfs_lspace_propagate(kb: SlopeKnowledge, query: Fraction) -> Optional[Deriva
         cur = prev
     steps.reverse()
     return DerivationChain(kb.knot.name, query, tuple(steps))
+
+
+def copying_plumbing_move_sequence(
+    n: int, r: Fraction
+) -> list[tuple[str, GraphDiagram]]:
+    """kirby.plumbing_move_sequence as the six public moves chained on
+    GraphDiagrams, each move copying and re-validating the whole diagram.
+    The pipeline edits one working diagram in place instead; its labeled
+    states must equal these."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > PLUMBING_N_BUDGET:
+        raise ValueError(f"n = {n} is over the plumbing budget of {PLUMBING_N_BUDGET}")
+    r = Fraction(r)
+    if r >= 4 * n:
+        raise ValueError("the plumbing rewriting needs r < 4n")
+    states = []
+    d = GraphDiagram((Component("k", r, torus=(2 * n + 1, 2)),))
+    states.append(("start", d))
+    # one blowup per full twist of the band; k unknots at the end
+    ring: list[str] = []
+    for i in range(n):
+        d, cid = blow_up(d, {"k": 2}, -1, new_id=f"c{i + 1}")
+        ring.append(cid)
+    states.append(("band-blowups", d))
+    # chain the ring circles together and off the band
+    for i in range(n - 1):
+        d = handle_slide(d, ring[i], ring[i + 1], -1)
+    head, tail = ring[-1], ring[:-1]
+    states.append(("ring-slides", d))
+    d, e1 = blow_up(d, {"k": 1, head: 1}, -1, new_id="e1")
+    d, e2 = blow_up(d, {"k": 1, head: 1}, -1, new_id="e2")
+    states.append(("clasp-blowups", d))
+    for cid in tail:  # absorb the chain, far end first
+        d = slam_dunk(d, cid)
+    if d.component(head).coeff != Fraction(-(2 * n + 1), n):
+        raise InternalConsistencyError("chain absorption gave the wrong head")
+    states.append(("dunked", d))
+    d = handle_slide(d, e1, e2, -1)
+    states.append(("arm-slide", d))
+    for cid in (head, "k", e1):
+        d = rolfsen_twist(d, cid, 1)
+    for cid, want in ((e1, Fraction(2)), (e2, Fraction(2)),
+                      (head, Fraction(2 * n + 1, n + 1))):
+        if d.component(cid).coeff != want:
+            raise InternalConsistencyError(f"twist left {cid} at {d.component(cid).coeff}")
+    states.append(("twists", d))
+    d, _ = rational_to_integer(d, head, prefix="h")
+    d, _ = rational_to_integer(d, "k", prefix="a")
+    states.append(("integral", d))
+    return states

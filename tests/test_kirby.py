@@ -30,7 +30,11 @@ from contactsurgery.kirby import (
     _leaf_first,
 )
 
-from oracles import generalized_linking_matrix, homology_magnitude
+from oracles import (
+    copying_plumbing_move_sequence,
+    generalized_linking_matrix,
+    homology_magnitude,
+)
 
 
 def unknot_diagram(*coeffs, lk=()):
@@ -492,6 +496,67 @@ def test_plumbing_sequence_labels():
     final = by["integral"]
     assert all(c.is_integral for c in final.components)
     assert homology_magnitude(final) == 23
+
+
+def test_pipeline_against_copying_oracle():
+    # below, at and inside [2n - 1, 4n): negative, integral and fractional
+    for n in range(1, 9):
+        lo, hi = 2 * n - 1, 4 * n
+        slopes = [Fraction(-3), Fraction(-7, 3), Fraction(0), Fraction(1, 2),
+                  Fraction(lo) - Fraction(1, 5), Fraction(lo), Fraction(3 * lo + 1, 3),
+                  Fraction(hi - 1), Fraction(7 * hi - 1, 7)]
+        for r in slopes:
+            assert plumbing_move_sequence(n, r) == copying_plumbing_move_sequence(n, r)
+
+
+def test_pipeline_builds_only_labeled_states(monkeypatch):
+    built = []
+    post_init = GraphDiagram.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GraphDiagram, "__post_init__", counting)
+    for n in (1, 5, 30):
+        built.clear()
+        states = plumbing_move_sequence(n, Fraction(4 * n - 1))
+        assert len(built) == 8
+        assert [d for _, d in states] == built
+
+
+def test_failed_move_leaves_working_diagram_unchanged():
+    d = GraphDiagram(
+        (
+            Component("k", Fraction(3), torus=(5, 2)),
+            Component("x1", Fraction(-2)),
+            Component("x2", Fraction(1, 2)),
+            Component("x3", Fraction(0)),
+            Component("x4", Fraction(3)),
+        ),
+        (("k", "x1", 1), ("x1", "x2", 2), ("x1", "x3", 1), ("x2", "x4", 1)),
+    )
+    # each move's first precondition, then one checked after others pass
+    failing = [
+        ("blow_up", {"x1": 1}, 2, None),
+        ("blow_up", {"x1": 1, "x2": 2}, -1, "x3"),
+        ("blow_up", {"x1": 1, "x2": 2}, -1, "bad id"),
+        ("blow_down", "missing"),
+        ("blow_down", "x1"),
+        ("handle_slide", "x1", "x1", 1),
+        ("handle_slide", "x1", "x2", 1),
+        ("rolfsen_twist", "k", 1),
+        ("rolfsen_twist", "x2", -2),
+        ("slam_dunk", "k"),
+        ("slam_dunk", "x4"),
+        ("rational_to_integer", "missing", None),
+        ("rational_to_integer", "x2", "bad id"),
+    ]
+    for name, *args in failing:
+        w = kirby._Diagram(d)
+        with pytest.raises(ValueError):
+            getattr(w, name)(*args)
+        assert w.build() == d, name
 
 
 def test_plumbing_definite_on_interval():
