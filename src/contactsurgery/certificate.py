@@ -6,9 +6,13 @@ produced by a lower layer and re-checkable on its own:
 
   * floer: a derivation chain showing the surgery has minimal Floer rank;
   * kirby: the positive definite plumbing tree bounding the surgery;
-  * lattice: the rank-6 obstruction form located inside the negated
-    plumbing lattice, and the exhausted search showing that form has no
-    negative diagonal embedding up to the saturating rank.
+  * lattice: the rank-6 obstruction form inside the negated plumbing
+    lattice, and the exhausted search showing that form has no negative
+    diagonal embedding up to the saturating rank.
+
+The copy of the obstruction form needs no search: it is spanned by six
+plumbing vertices, as signed unit vectors (lambda_witness), and is
+re-checked against the form before it is used.
 
 A symplectic filling glued to the plumbing would, by Donaldson's
 diagonalization theorem, embed the negated plumbing lattice, and with it
@@ -30,7 +34,6 @@ from .lattice import (
     SublatticeWitness,
     _freeze,
     _negate,
-    contains_sublattice,
     embed_bound,
     embed_in_diagonal,
     lambda_gram,
@@ -50,10 +53,10 @@ class NotFillableCertificate:
     """Machine-checkable evidence that r-surgery admits no fillable structure.
 
     Four ingredients: a derivation that the surgery has minimal Floer
-    rank, the positive definite plumbing it bounds, the rank-6 form
-    sitting inside the negated plumbing lattice, and the exhausted
-    search showing that form has no negative diagonal embedding up to
-    the saturating rank.
+    rank, the positive definite plumbing it bounds, six signed plumbing
+    vertices spanning the rank-6 form in the negated plumbing lattice,
+    and the bound up to which the exhausted search found no negative
+    diagonal embedding of that form.
     """
 
     n: int
@@ -115,6 +118,36 @@ class NotFillableCertificate:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
+def lambda_witness(tree: PlumbingTree, n: int, a1: int) -> SublatticeWitness:
+    """The copy of lambda(a1, n) in the negated plumbing lattice.
+
+    The plumbing contains the path h1 - c{n} - e2 - k - a1 with e1 on
+    e2, of weights n+1, 2, 2, 2, a1, 2: lambda_gram's vertices in its
+    order.  Their unit vectors with alternating signs pair every edge to
+    +1 in the negated form, so they span lambda(a1, n) there.  Raises
+    CertificateFailure("sublattice", ...) if a vertex is missing or the
+    vectors do not realize the form.
+    """
+    names = ("h1", f"c{n}", "e2", "k", "a1", "e1")
+    index = {vid: i for i, (vid, _) in enumerate(tree.vertices)}
+    for name in names:
+        if name not in index:
+            raise CertificateFailure("sublattice", f"plumbing has no vertex {name}")
+    vectors = []
+    for name, sign in zip(names, (1, -1, 1, -1, 1, -1)):
+        v = [0] * len(index)
+        v[index[name]] = sign
+        vectors.append(tuple(v))
+    sub = SublatticeWitness(
+        _freeze(_negate(tree.intersection_matrix())),
+        _freeze(lambda_gram(a1, n)),
+        tuple(vectors),
+    )
+    if not sub.verify():
+        raise CertificateFailure("sublattice", "the six vertices do not span the obstruction form")
+    return sub
+
+
 def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
     """Assemble the nonfillability certificate for r in [2n-1, 4n)."""
     if n < 1:
@@ -137,11 +170,9 @@ def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
     a1 = terms[1]
     if tree.weight("a1") != a1:
         raise CertificateFailure("plumbing", "leg coefficient disagrees with the tree")
-    lam = lambda_gram(a1, n)
-    sub = contains_sublattice(_negate(tree.intersection_matrix()), lam)
-    if sub is None:
-        raise CertificateFailure("sublattice", "obstruction form not found in the plumbing")
+    sub = lambda_witness(tree, n, a1)
 
+    lam = lambda_gram(a1, n)
     bound = embed_bound(lam)
     if embed_in_diagonal(lam, bound) is not None:
         raise CertificateFailure("embedding", "the obstruction form embeds after all")

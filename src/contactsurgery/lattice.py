@@ -10,13 +10,17 @@ service of that argument, with no fractions and no floating point:
   * short_vectors enumerates lattice vectors of an exact given norm,
     already in lexicographic order, from one fraction-free elimination
     (which also checks definiteness) and math.isqrt bounds;
-  * contains_sublattice locates a copy of one form inside another;
+  * contains_sublattice searches for a copy of one form inside another,
+    for general forms; the certificate needs no search here, since the
+    obstruction form is spanned by six signed plumbing vertices, and
+    only re-checks that copy with SublatticeWitness.verify;
   * embed_in_diagonal searches for an isometric embedding into the
-    negative diagonal lattice of a given rank by orderly generation:
-    each new vector is built only in the least form that the signed
-    coordinate permutations fixing the vectors already placed allow.
-    The search never lists Z^m, is exhaustive, so a None really does
-    prove nonexistence, and returns the lexicographically first witness.
+    negative diagonal lattice of a given rank by orderly generation,
+    placing the vectors in order of increasing norm: each new vector is
+    built only in the least form that the signed coordinate permutations
+    fixing the vectors already placed allow.  The search never lists
+    Z^m, is exhaustive, so a None really does prove nonexistence, and
+    returns the lexicographically first witness.
 
 A vector of norm t has at most t nonzero coordinates in any diagonal
 embedding, so the sum of the diagonal norms bounds the rank that ever
@@ -37,10 +41,6 @@ from .kirby import Definiteness, definiteness
 
 def _negate(m: Matrix) -> Matrix:
     return [[-x for x in row] for row in m]
-
-
-def _bilinear(x, m: Matrix, y) -> int:
-    return sum(x[i] * m[i][j] * y[j] for i in range(len(m)) for j in range(len(m)))
 
 
 def _dot(x, y) -> int:
@@ -162,12 +162,12 @@ class SublatticeWitness:
     vectors: tuple[tuple[int, ...], ...]
 
     def verify(self) -> bool:
-        amb = [list(r) for r in self.ambient]
-        k = len(self.gram)
-        if len(self.vectors) != k or any(len(v) != len(amb) for v in self.vectors):
+        k, n = len(self.gram), len(self.ambient)
+        if len(self.vectors) != k or any(len(v) != n for v in self.vectors):
             return False
+        images = [[_dot(row, v) for row in self.ambient] for v in self.vectors]
         return all(
-            _bilinear(self.vectors[i], amb, self.vectors[j]) == self.gram[i][j]
+            _dot(self.vectors[i], images[j]) == self.gram[i][j]
             for i in range(k)
             for j in range(k)
         )
@@ -229,8 +229,10 @@ def embed_in_diagonal(gram: Matrix, m: int) -> Optional[EmbeddingWitness]:
     """Search for vectors v_1..v_k in Z^m with v_i . v_j = -gram[i][j].
 
     The form must be negative definite.  The vectors are placed in order
-    of decreasing norm, each generated in lexicographic order under the
-    signed coordinate permutations fixing the vectors already placed
+    of increasing norm (ties in index order), so the most rigid ones,
+    the norm-2 roots, fix the coordinates first; each is generated in
+    lexicographic order under the signed coordinate permutations fixing
+    the vectors already placed
     (orderly generation, McKay, J. Algorithms 26, 1998): the placed
     vectors' columns fall into contiguous blocks of equal columns and a
     trailing block of zero columns, and the next vector is non-decreasing
@@ -249,7 +251,7 @@ def embed_in_diagonal(gram: Matrix, m: int) -> Optional[EmbeddingWitness]:
         raise ValueError("m must be >= 1")
     if k > m:
         return None
-    order = sorted(range(k), key=lambda i: gram[i][i])  # decreasing norm
+    order = sorted(range(k), key=lambda i: -gram[i][i])  # increasing norm
 
     def dfs(
         depth: int, placed: list[tuple[int, ...]], starts: list[bool]
@@ -283,10 +285,13 @@ def embed_in_diagonal(gram: Matrix, m: int) -> Optional[EmbeddingWitness]:
 def contains_sublattice(target: Matrix, gram: Matrix) -> Optional[SublatticeWitness]:
     """Find a copy of gram inside the definite form target, if one exists.
 
-    The vectors of gram are placed in order of decreasing norm, each
-    drawn from the target's vectors of that norm in lexicographic order,
-    so the witness is the lexicographically first copy.  The first depth
-    streams its candidates; deeper depths start from one list per norm.
+    A general kernel; the nonfillability certificate does not call it,
+    because there the copy of the obstruction form is six signed
+    plumbing vertices, written down directly.  The vectors of gram are
+    placed in order of decreasing norm, each drawn from the target's
+    vectors of that norm in lexicographic order, so the witness is the
+    lexicographically first copy.  The first depth streams its
+    candidates; deeper depths start from one list per norm.
     Placing v computes A v once and filters every deeper depth's pool by
     its inner product u . (A v) with v; a pool left empty ends the branch
     at once, and since pools only lose vectors that cannot be placed, the

@@ -132,7 +132,8 @@ def seen_set_embed_in_diagonal(gram, m):
     Z^m is a candidate, in lexicographic order, and a partial placement
     whose signed-permutation class was already exhausted is skipped.
     Skipping only exhausted classes keeps the first witness found equal
-    to the lexicographically first one.
+    to the lexicographically first one.  The vectors are placed in the
+    same order, increasing norm, so both name the same first witness.
     """
     if definiteness(gram) is not Definiteness.NEGATIVE_DEFINITE:
         raise ValueError("the embedding search expects a negative definite form")
@@ -141,7 +142,7 @@ def seen_set_embed_in_diagonal(gram, m):
         raise ValueError("m must be >= 1")
     if k > m:
         return None
-    order = sorted(range(k), key=lambda i: gram[i][i])
+    order = sorted(range(k), key=lambda i: -gram[i][i])
     identity = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     candidates = {
         t: fraction_short_vectors(identity, t) for t in {-gram[i][i] for i in range(k)}

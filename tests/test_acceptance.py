@@ -179,6 +179,32 @@ def test_certificates_up_to_n_10():
     print(f"[PASS] certificates for n <= 10 at r = 4n-1 and 4n-1/2 (worst {worst * 1000:.1f} ms)")
 
 
+def test_certificate_goal_every_slope_q_at_most_4_and_baseline():
+    # every slope p/q in [2n-1, 4n) with q <= 4 for n <= 10 (720 slopes),
+    # then the slopes that once searched for seconds or did not finish
+    slopes = [
+        (n, Fraction(p, q))
+        for n in range(1, 11)
+        for q in range(1, 5)
+        for p in range((2 * n - 1) * q, 4 * n * q)
+        if math.gcd(p, q) == 1
+    ]
+    assert len(slopes) == 720
+    slopes += [(10, Fraction(p, q)) for p, q in ((391, 10), (311, 10), (129, 4), (156, 5))]
+    slopes += [(4, Fraction(p, q)) for p, q in ((131, 10), (99, 7), (91, 6))]
+    slopes += [(6, Fraction(101, 5)), (6, Fraction(191, 10))]
+    slopes += [(40, Fraction(79)), (80, Fraction(319))]
+    worst = 0.0
+    for n, r in slopes:
+        t0 = time.perf_counter()
+        cert = donaldson_certificate(n, r)
+        assert cert.verify()
+        dt = time.perf_counter() - t0
+        assert dt < 1.0, (n, r, dt)
+        worst = max(worst, dt)
+    print(f"[PASS] {len(slopes)} certificates, q <= 4 and baseline (worst {worst * 1000:.1f} ms)")
+
+
 def test_criterion_7_surface_identity():
     t0 = time.perf_counter()
     for t in range(1, 20, 2):

@@ -8,9 +8,18 @@ from fractions import Fraction
 
 import pytest
 
-from contactsurgery.certificate import CertificateFailure, donaldson_certificate
+from contactsurgery.certificate import (
+    CertificateFailure,
+    donaldson_certificate,
+    lambda_witness,
+)
 from contactsurgery.homology import det_bareiss
-from contactsurgery.kirby import Definiteness, definiteness, plumbing_presentation
+from contactsurgery.kirby import (
+    Definiteness,
+    PlumbingTree,
+    definiteness,
+    plumbing_presentation,
+)
 from contactsurgery.lattice import (
     EmbeddingWitness,
     contains_sublattice,
@@ -320,7 +329,56 @@ def test_obstruction_form_sits_in_the_plumbing():
     assert w is not None and w.verify()
 
 
+def test_sublattice_search_finds_the_obstruction_form_on_certify_slopes():
+    # every slope the certify workload draws: n <= 2, q <= 20, a1 = 2 up
+    # to 17 vertices and a1 = 3 up to 14; the certificate writes this copy
+    # down instead, and the search must agree that one exists
+    cases = 0
+    for n in (1, 2):
+        for q in range(1, 21):
+            for p in range((2 * n - 1) * q, 4 * n * q):
+                if math.gcd(p, q) != 1:
+                    continue
+                tree = plumbing_presentation(n, Fraction(p, q))
+                a1, size = tree.weight("a1"), len(tree.vertices)
+                if size > {2: 17, 3: 14}.get(a1, 0):
+                    continue
+                w = contains_sublattice(negate(tree.intersection_matrix()), lambda_gram(a1, n))
+                assert w is not None and w.verify(), (n, p, q)
+                cases += 1
+    assert cases == 821
+
+
 # the assembled certificate
+
+
+def test_lambda_witness_is_six_signed_vertices():
+    tree = plumbing_presentation(3, Fraction(41, 4))
+    w = lambda_witness(tree, 3, tree.weight("a1"))
+    assert w.verify()
+    ids = [vid for vid, _ in tree.vertices]
+    support = [(ids[v.index(x)], x) for v in w.vectors for x in v if x]
+    assert support == [("h1", 1), ("c3", -1), ("e2", 1), ("k", -1), ("a1", 1), ("e1", -1)]
+
+
+def test_lambda_witness_rejects_a_tree_without_the_form():
+    tree = plumbing_presentation(1, Fraction(2))
+    no_e1 = PlumbingTree(
+        tuple(v for v in tree.vertices if v[0] != "e1"),
+        tuple(e for e in tree.edges if "e1" not in e),
+    )
+    with pytest.raises(CertificateFailure) as err:
+        lambda_witness(no_e1, 1, 2)
+    assert err.value.part == "sublattice"
+    # every name present, but h1 has the wrong weight
+    heavy = PlumbingTree(
+        tuple((vid, w + 1 if vid == "h1" else w) for vid, w in tree.vertices), tree.edges
+    )
+    with pytest.raises(CertificateFailure) as err:
+        lambda_witness(heavy, 1, 2)
+    assert err.value.part == "sublattice"
+
+
 
 
 def test_certificate_integral_slope():
@@ -369,6 +427,13 @@ def test_certificate_verify_rejects_tampering():
     assert not dataclasses.replace(cert, a1=3).verify()
     assert not dataclasses.replace(cert, slope=Fraction(3)).verify()
     assert not dataclasses.replace(cert, embedding_bound=5).verify()
+    bound = cert.embedding_bound
+    assert not dataclasses.replace(cert, embedding_bound=bound - 1).verify()
+    vectors = [list(v) for v in cert.sublattice.vectors]
+    vectors[0] = [-x for x in vectors[0]]  # flip the one nonzero entry
+    flipped = dataclasses.replace(cert.sublattice, vectors=tuple(map(tuple, vectors)))
+    assert not flipped.verify()
+    assert not dataclasses.replace(cert, sublattice=flipped).verify()
 
 
 def test_certificate_failure_carries_part():

@@ -4,7 +4,8 @@ cfrac and homology are pure-arithmetic leaves, lattice sits on homology
 and kirby only, and the certificate is assembly that only the CLI and
 the package root pull in.  The CLI and the certificate run no
 elimination of their own: they read a plumbing's determinant and
-definiteness off the tree.
+definiteness off the tree.  Nor does the certificate search for its copy
+of the obstruction form: it writes it down.
 """
 
 import ast
@@ -76,6 +77,12 @@ def test_cli_and_certificate_run_no_elimination():
     for name in ("cli", "certificate"):
         names = imported_names(PACKAGE / f"{name}.py")
         assert not names & {"det_bareiss", "definiteness", "bareiss"}, name
+
+
+def test_certificate_runs_no_sublattice_search():
+    # the obstruction form's copy is written down; no search may return
+    names = imported_names(PACKAGE / "certificate.py")
+    assert not names & {"contains_sublattice", "short_vectors", "_lex_vectors"}
 
 
 def test_kirby_keeps_no_test_only_determinant():
