@@ -32,11 +32,11 @@ from .floer import DerivationChain, knowledge_for, lspace_propagate, verify_chai
 from .kirby import Definiteness, PlumbingTree, plumbing_presentation
 from .lattice import (
     SublatticeWitness,
-    _freeze,
-    _negate,
     embed_bound,
     embed_in_diagonal,
+    freeze,
     lambda_gram,
+    negate,
 )
 
 
@@ -92,9 +92,9 @@ class NotFillableCertificate:
         if self.tree.definiteness is not Definiteness.POSITIVE_DEFINITE:
             return False
         lam = lambda_gram(self.a1, self.n)
-        if self.sublattice.gram != _freeze(lam):
+        if self.sublattice.gram != freeze(lam):
             return False
-        if self.sublattice.ambient != _freeze(_negate(self.tree.intersection_matrix())):
+        if self.sublattice.ambient != freeze(negate(self.tree.intersection_matrix())):
             return False
         if not self.sublattice.verify():
             return False
@@ -139,8 +139,8 @@ def lambda_witness(tree: PlumbingTree, n: int, a1: int) -> SublatticeWitness:
         v[index[name]] = sign
         vectors.append(tuple(v))
     sub = SublatticeWitness(
-        _freeze(_negate(tree.intersection_matrix())),
-        _freeze(lambda_gram(a1, n)),
+        freeze(negate(tree.intersection_matrix())),
+        freeze(lambda_gram(a1, n)),
         tuple(vectors),
     )
     if not sub.verify():

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
 from .cfrac import NegCF, format_rational, neg_cf_expand, neg_cf_length, parse_rational
-from .homology import CyclicDecomposition, Matrix, h1_from_linking, order_in_cyclic
+from .homology import CyclicDecomposition, Matrix, content_lines, h1_from_linking, order_in_cyclic
 
 
 class UnsupportedKnotError(ValueError):
@@ -759,10 +759,7 @@ def format_contact_diagram(d: ContactDiagram) -> str:
 def parse_contact_diagram(text: str) -> ContactDiagram:
     components: list[ContactComponent] = []
     linking: list[tuple[int, int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         toks = line.split()
         if toks[0] == "lk":
             if len(toks) != 4:

@@ -242,13 +242,15 @@ def format_matrix(a: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def content_lines(text: str) -> list[str]:
+    """The stripped lines of a text format, without blanks and '#' comment lines."""
+    lines = (raw.strip() for raw in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def parse_matrix(text: str) -> Matrix:
     """Read format_matrix output; blank lines and '#' comment lines are skipped."""
-    toks: list[str] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            toks.extend(line.split())
+    toks = [tok for line in content_lines(text) for tok in line.split()]
     if len(toks) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
     rows, cols = int(toks[0]), int(toks[1])

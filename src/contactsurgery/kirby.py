@@ -29,6 +29,8 @@ knot, r < 4n, into a plumbing of disk bundles along a three-legged
 tree; for r in [2n-1, 4n) the resulting intersection form is positive
 definite, which is what the lattice obstruction consumes.  It edits one
 working diagram and builds GraphDiagrams only at its labeled states.
+A PlumbingTree indexes its graph once and reads its form leaf first,
+along one cached walk that also answers is_tree.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from enum import Enum
 from functools import cached_property
 from itertools import count
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 from .cfrac import format_rational, neg_cf_expand, parse_rational
-from .homology import Matrix, bareiss, symmetric_size
+from .homology import Matrix, bareiss, content_lines, symmetric_size
 
 
 class MoveError(ValueError):
@@ -85,6 +87,13 @@ class Component:
         return self.coeff.denominator == 1
 
 
+def _component(comps: Mapping[str, Component], cid: str) -> Component:
+    try:
+        return comps[cid]
+    except KeyError:
+        raise MoveError(f"no component {cid!r}") from None
+
+
 @dataclass(frozen=True)
 class GraphDiagram:
     """Framed-circle diagram: components in order plus sparse linking data.
@@ -123,10 +132,7 @@ class GraphDiagram:
         return tuple(c.cid for c in self.components)
 
     def component(self, cid: str) -> Component:
-        try:
-            return self._by_id[cid]
-        except KeyError:
-            raise MoveError(f"no component {cid!r}") from None
+        return _component(self._by_id, cid)
 
     def lk(self, a: str, b: str) -> int:
         if a == b:
@@ -157,10 +163,7 @@ class _Diagram:
         self.nbrs = {cid: dict(adj) for cid, adj in d._nbrs.items()}
 
     def component(self, cid: str) -> Component:
-        try:
-            return self.comps[cid]
-        except KeyError:
-            raise MoveError(f"no component {cid!r}") from None
+        return _component(self.comps, cid)
 
     def fresh_ids(self, prefix: str) -> Iterator[str]:
         """prefix1, prefix2, ... skipping the ids in use."""
@@ -440,102 +443,107 @@ def moser_seifert(p: int, q: int, r: Fraction) -> SeifertClassification:
 # plumbing trees
 
 
-def _leaf_first(
-    vertices: Sequence[tuple[str, int]], edges: Sequence[tuple[str, str]]
-) -> Optional[tuple[list[Fraction], int]]:
-    """Eliminate a plumbing forest's intersection form leaves first.
-
-    Each component is rooted at its first vertex and eliminated children
-    before parents.  A vertex's pivot is its weight minus the sum of
-    1/pivot over its eliminated children; eliminating it changes only
-    its parent's entry, so nothing fills in and the form is congruent to
-    the diagonal of the pivots.  A zero pivot at a vertex v whose parent
-    p remains spans with p a hyperbolic plane, inertia (1, 1) and
-    determinant -1, whose complement is the form on the forest without v
-    and p: both are deleted.  Returns the nonzero pivots and the number
-    of hyperbolic pairs, or None when a zero pivot has no parent left,
-    since that vertex is then in the radical.
-    """
-    index = {vid: i for i, (vid, _) in enumerate(vertices)}
-    adj: list[list[int]] = [[] for _ in vertices]
-    for a, b in edges:
-        adj[index[a]].append(index[b])
-        adj[index[b]].append(index[a])
-    parent = [-1] * len(vertices)
-    order: list[int] = []  # parents before children
-    reached = [False] * len(vertices)
-    for root in range(len(vertices)):
-        if reached[root]:
-            continue
-        reached[root] = True
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for u in adj[v]:
-                if u == parent[v]:
-                    continue
-                if reached[u]:
-                    raise ValueError("the plumbing graph has a cycle")
-                reached[u] = True
-                parent[u] = v
-                stack.append(u)
-    entry = [Fraction(w) for _, w in vertices]
-    alive = [True] * len(vertices)
-    pivots: list[Fraction] = []
-    pairs = 0
-    for v in reversed(order):
-        if not alive[v]:
-            continue
-        p = parent[v]
-        if p >= 0 and not alive[p]:
-            p = -1
-        if entry[v] == 0:
-            if p < 0:
-                return None
-            alive[p] = False
-            pairs += 1
-            continue
-        pivots.append(entry[v])
-        if p >= 0:
-            entry[p] -= 1 / entry[v]
-    return pivots, pairs
-
-
 @dataclass(frozen=True)
 class PlumbingTree:
     """Vertices weighted by Euler numbers, edges for the plumbed pairs.
 
-    determinant and definiteness describe the intersection form.  They
-    come from one leaf-first elimination (_leaf_first), linear in the
-    number of vertices, made on first use and kept; they need a forest
-    and raise ValueError on a graph with a cycle.
+    The graph is validated and indexed once: _index maps a vertex id to
+    its position, and _nbrs[i][j] = 1 for each plumbed pair, as in
+    GraphDiagram.  One walk (_walk), made on first use and kept, serves
+    is_tree and the leaf-first elimination (_leaf_first) behind
+    determinant and definiteness, which need a forest and raise
+    ValueError on a graph with a cycle.
     """
 
     vertices: tuple[tuple[str, int], ...]
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
-        ids = [vid for vid, _ in self.vertices]
-        if len(set(ids)) != len(ids):
+        index = {vid: i for i, (vid, _) in enumerate(self.vertices)}
+        if len(index) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        known = set(ids)
-        seen = set()
+        nbrs: list[dict[int, int]] = [{} for _ in self.vertices]
         for a, b in self.edges:
-            if a not in known or b not in known:
+            if a not in index or b not in index:
                 raise ValueError(f"edge ({a}, {b}) names unknown vertices")
             if a == b:
                 raise ValueError("self edge")
-            key = frozenset((a, b))
-            if key in seen:
+            i, j = index[a], index[b]
+            if j in nbrs[i]:
                 raise ValueError(f"duplicate edge ({a}, {b})")
-            seen.add(key)
+            nbrs[i][j] = nbrs[j][i] = 1
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_nbrs", nbrs)
+
+    @cached_property
+    def _walk(self) -> Optional[tuple[list[int], list[int], int]]:
+        """The parent of each vertex (-1 at a root), the vertices children
+        before parents, and the number of components; None when the graph
+        has a cycle.  Each component is rooted at its first vertex."""
+        parent: list = [None] * len(self.vertices)  # None until reached
+        order: list[int] = []  # parents before children, reversed at the end
+        components = 0
+        for root in range(len(self.vertices)):
+            if parent[root] is not None:
+                continue
+            components += 1
+            parent[root] = -1
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for u in self._nbrs[v]:
+                    if u == parent[v]:
+                        continue
+                    if parent[u] is not None:
+                        return None
+                    parent[u] = v
+                    stack.append(u)
+        order.reverse()
+        return parent, order, components
+
+    def _leaf_first(self) -> Optional[tuple[list[Fraction], int]]:
+        """Eliminate the intersection form leaves first, along _walk.
+
+        A vertex's pivot is its weight minus the sum of 1/pivot over its
+        eliminated children; eliminating it changes only its parent's
+        entry, so nothing fills in and the form is congruent to the
+        diagonal of the pivots.  A zero pivot at a vertex v whose parent
+        p remains spans with p a hyperbolic plane, inertia (1, 1) and
+        determinant -1, whose complement is the form on the forest
+        without v and p: both are deleted.  Returns the nonzero pivots
+        and the number of hyperbolic pairs, or None when a zero pivot
+        has no parent left, since that vertex is then in the radical.
+        """
+        if self._walk is None:
+            raise ValueError("the plumbing graph has a cycle")
+        parent, order, _ = self._walk
+        entry = [Fraction(w) for _, w in self.vertices]
+        alive = [True] * len(self.vertices)
+        pivots: list[Fraction] = []
+        pairs = 0
+        for v in order:
+            if not alive[v]:
+                continue
+            p = parent[v]
+            if p >= 0 and not alive[p]:
+                p = -1
+            if entry[v] == 0:
+                if p < 0:
+                    return None
+                alive[p] = False
+                pairs += 1
+                continue
+            pivots.append(entry[v])
+            if p >= 0:
+                entry[p] -= 1 / entry[v]
+        return pivots, pairs
 
     @cached_property
     def _form(self) -> tuple[int, Definiteness]:
         if not self.vertices:
             raise ValueError("need a nonempty plumbing")
-        found = _leaf_first(self.vertices, self.edges)
+        found = self._leaf_first()
         if found is None:
             return 0, Definiteness.DEGENERATE
         pivots, pairs = found
@@ -558,35 +566,18 @@ class PlumbingTree:
         return self._form[1]
 
     def weight(self, vid: str) -> int:
-        for v, w in self.vertices:
-            if v == vid:
-                return w
-        raise KeyError(vid)
+        return self.vertices[self._index[vid]][1]
 
     def is_tree(self) -> bool:
-        ids = [vid for vid, _ in self.vertices]
-        if len(self.edges) != len(ids) - 1:
-            return False
-        adj: dict[str, list[str]] = {vid: [] for vid in ids}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        stack, reached = [ids[0]], {ids[0]}
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in reached:
-                    reached.add(nxt)
-                    stack.append(nxt)
-        return len(reached) == len(ids)
+        return self._walk is not None and self._walk[2] == 1
 
     def intersection_matrix(self) -> Matrix:
-        index = {vid: i for i, (vid, _) in enumerate(self.vertices)}
         n = len(self.vertices)
         m = [[0] * n for _ in range(n)]
         for i, (_, w) in enumerate(self.vertices):
             m[i][i] = w
-        for a, b in self.edges:
-            m[index[a]][index[b]] = m[index[b]][index[a]] = 1
+            for j, v in self._nbrs[i].items():
+                m[i][j] = v
         return m
 
 
@@ -693,10 +684,7 @@ def format_graph_diagram(d: GraphDiagram) -> str:
 def parse_graph_diagram(text: str) -> GraphDiagram:
     components: list[Component] = []
     linking: list[tuple[str, str, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         toks = line.split()
         if len(toks) != 3:
             raise ValueError(f"bad line {line!r}")
@@ -721,10 +709,7 @@ def parse_plumbing_tree(text: str) -> PlumbingTree:
     vertices: list[tuple[str, int]] = []
     edges: list[tuple[str, str]] = []
     known: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         toks = line.split()
         if len(toks) != 2:
             raise ValueError(f"bad line {line!r}")

@@ -39,7 +39,7 @@ from .homology import Matrix, bareiss, symmetric_size
 from .kirby import Definiteness, definiteness
 
 
-def _negate(m: Matrix) -> Matrix:
+def negate(m: Matrix) -> Matrix:
     return [[-x for x in row] for row in m]
 
 
@@ -105,7 +105,7 @@ def short_vectors(gram: Matrix, t: int) -> list[tuple[int, ...]]:
     """
     symmetric_size(gram)
     if gram[0][0] < 0:
-        gram, t = _negate(gram), -t
+        gram, t = negate(gram), -t
     return list(_lex_vectors(gram, t))
 
 
@@ -173,7 +173,7 @@ class SublatticeWitness:
         )
 
 
-def _freeze(m: Matrix) -> tuple[tuple[int, ...], ...]:
+def freeze(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in m)
 
 
@@ -279,7 +279,7 @@ def embed_in_diagonal(gram: Matrix, m: int) -> Optional[EmbeddingWitness]:
     vectors: list[Optional[tuple[int, ...]]] = [None] * k
     for depth, idx in enumerate(order):
         vectors[idx] = placed[depth] + (0,) * (m - len(placed[depth]))
-    return EmbeddingWitness(_freeze(gram), m, tuple(vectors))
+    return EmbeddingWitness(freeze(gram), m, tuple(vectors))
 
 
 def contains_sublattice(target: Matrix, gram: Matrix) -> Optional[SublatticeWitness]:
@@ -305,7 +305,7 @@ def contains_sublattice(target: Matrix, gram: Matrix) -> Optional[SublatticeWitn
     if k > n:
         return None
     sign = 1 if dt is Definiteness.POSITIVE_DEFINITE else -1
-    form = target if sign == 1 else _negate(target)
+    form = target if sign == 1 else negate(target)
     order = sorted(range(k), key=lambda i: -abs(gram[i][i]))
     want = [[sign * gram[order[d]][order[e]] for e in range(d + 1)] for d in range(k)]
     lists = {t: short_vectors(form, t) for t in {want[d][d] for d in range(1, k)}}
@@ -339,4 +339,4 @@ def contains_sublattice(target: Matrix, gram: Matrix) -> Optional[SublatticeWitn
     vectors: list[Optional[tuple[int, ...]]] = [None] * k
     for depth, idx in enumerate(order):
         vectors[idx] = placed[depth]
-    return SublatticeWitness(_freeze(target), _freeze(gram), tuple(vectors))
+    return SublatticeWitness(freeze(target), freeze(gram), tuple(vectors))

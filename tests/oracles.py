@@ -213,6 +213,26 @@ def homology_magnitude(d: GraphDiagram) -> int:
     return abs(det_bareiss(generalized_linking_matrix(d)))
 
 
+def union_find_components(vertices, edges) -> Optional[int]:
+    """The number of connected components of a graph, or None when it has
+    a cycle: an edge whose two ends are already connected closes one."""
+    root = {vid: vid for vid, _ in vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    components = len(root)
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return None
+        root[ra] = rb
+        components -= 1
+    return components
+
+
 def bfs_lspace_propagate(kb: SlopeKnowledge, query: Fraction) -> Optional[DerivationChain]:
     """Derive the query slope from the seeds by breadth-first search.
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from contactsurgery.cli import entry
+from contactsurgery.cli import EMBED_RANK_BUDGET, entry
 from contactsurgery.contact import WITNESS_M_BUDGET
 from contactsurgery.homology import format_matrix
 from contactsurgery.kirby import PLUMBING_N_BUDGET
@@ -130,6 +130,15 @@ def test_lattice_embed_bound_does_not_scale_with_m(capsys):
     assert time.perf_counter() - t0 < 2.0
     assert code == 0
     assert out.strip() == "no embedding (bound m=5000)"
+
+
+A3 = str(Path(__file__).parent / "golden" / "a3.mat")
+
+
+def test_lattice_embed_at_rank_budget(capsys):
+    code, out, _ = run(capsys, "lattice-embed", "--gram", A3, "--bound", str(EMBED_RANK_BUDGET))
+    assert code == 0
+    assert out.startswith(f"embedding into rank {EMBED_RANK_BUDGET}:")
 
 
 def test_lattice_embed_from_file(capsys, tmp_path):
@@ -275,7 +284,12 @@ def test_translate_over_member_budget(slope):
     ("lspace", "--knot", "torus:3,2", "--query", "10000000", "--json"),
     ("witness", "--m", str(WITNESS_M_BUDGET + 1)),
     ("witness", "--m", "1300", "--json"),
+    ("lattice-embed", "--gram", A3, "--bound", str(EMBED_RANK_BUDGET + 1)),
+    ("lattice-embed", "--gram", A3, "--bound", "100000000", "--json"),
+    ("lattice-embed", "--gram", "lambda:10000,1"),
 ])
 def test_over_output_budget(argv):
-    # a 10^7-step chain, or a witness product past the 4300-digit limit
+    # a 10^7-step chain, a witness product past the 4300-digit limit, or an
+    # embedding padded to 10^8 coordinates; the default bound of the last
+    # lattice-embed case is the sum of its diagonal norms, 10010
     assert_over_budget(*argv)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,13 +28,13 @@ from contactsurgery.kirby import (
     rational_to_integer,
     rolfsen_twist,
     slam_dunk,
-    _leaf_first,
 )
 
 from oracles import (
     copying_plumbing_move_sequence,
     generalized_linking_matrix,
     homology_magnitude,
+    union_find_components,
 )
 
 
@@ -640,7 +641,7 @@ def test_tree_form_against_dense_elimination():
         assert tree.determinant == det_bareiss(m), tree
         assert tree.definiteness is definiteness(m), tree
         seen.add(tree.definiteness)
-        found = _leaf_first(tree.vertices, tree.edges)
+        found = tree._leaf_first()
         if found is None:  # a zero pivot with no parent left
             kernel += 1
             assert tree.definiteness is Definiteness.DEGENERATE
@@ -652,6 +653,51 @@ def test_tree_form_against_dense_elimination():
     pair = PlumbingTree((("a", 5), ("b", 0)), (("a", "b"),))
     assert (pair.determinant, pair.definiteness) == (-1, Definiteness.INDEFINITE)
     assert PlumbingTree((("a", 0), ("b", 0)), ()).definiteness is Definiteness.DEGENERATE
+
+
+def _random_graph(rng, n):
+    """A random tree on n vertices, less some edges (a forest) or plus
+    some chords (cycles); vertices, edges and their ends in shuffled order."""
+    ids = [f"v{i}" for i in range(n)]
+    rng.shuffle(ids)
+    edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+    shape = rng.choice(("tree", "forest", "cycles"))
+    if shape == "forest":
+        edges = [e for e in edges if rng.random() < 0.7]
+    elif shape == "cycles":
+        used = {frozenset(e) for e in edges}
+        chords = [
+            (a, b) for i, a in enumerate(ids) for b in ids[:i] if frozenset((a, b)) not in used
+        ]
+        edges += rng.sample(chords, min(len(chords), rng.randint(1, 3)))
+    rng.shuffle(edges)
+    edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+    return PlumbingTree(tuple((vid, rng.randint(-3, 3)) for vid in ids), tuple(edges))
+
+
+def test_walk_against_union_find():
+    rng = random.Random(2004)
+    seen = Counter()
+    for trial in range(2000):
+        tree = _random_graph(rng, rng.randint(0, 9))
+        components = union_find_components(tree.vertices, tree.edges)
+        assert tree.is_tree() == (components == 1), tree
+        if components is None:
+            seen["cycle"] += 1
+            with pytest.raises(ValueError, match="cycle"):
+                tree.determinant
+        elif components == 0:
+            seen["empty"] += 1
+            with pytest.raises(ValueError, match="nonempty"):
+                tree.determinant
+        else:
+            seen["tree" if components == 1 else "forest"] += 1
+            assert tree.determinant == det_bareiss(tree.intersection_matrix()), tree
+        for vid, w in tree.vertices:
+            assert tree.weight(vid) == w
+        with pytest.raises(KeyError):
+            tree.weight("absent")
+    assert min(seen[k] for k in ("tree", "forest", "cycle", "empty")) >= 100, seen
 
 
 def test_tree_form_on_plumbings():

@@ -5,7 +5,8 @@ and kirby only, and the certificate is assembly that only the CLI and
 the package root pull in.  The CLI and the certificate run no
 elimination of their own: they read a plumbing's determinant and
 definiteness off the tree.  Nor does the certificate search for its copy
-of the obstruction form: it writes it down.
+of the obstruction form: it writes it down.  No module imports another's
+underscore names.
 """
 
 import ast
@@ -88,3 +89,9 @@ def test_certificate_runs_no_sublattice_search():
 def test_kirby_keeps_no_test_only_determinant():
     # the dense |H1| of a diagram is a test oracle (tests/oracles.py)
     assert "det_bareiss" not in imported_names(PACKAGE / "kirby.py")
+
+
+def test_no_module_imports_private_names():
+    for path in sorted(PACKAGE.glob("*.py")):
+        private = {name for name in imported_names(path) if name.startswith("_")}
+        assert not private, (path.stem, private)
