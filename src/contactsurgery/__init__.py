@@ -15,6 +15,8 @@ anywhere in the library.
 from .cfrac import NegCF, neg_cf_expand, neg_cf_value, parse_rational, format_rational
 from .homology import (
     CyclicDecomposition,
+    Definiteness,
+    definiteness,
     det_bareiss,
     h1_from_linking,
     h1_rational_surgery,
@@ -45,13 +47,11 @@ from .contact import (
 )
 from .kirby import (
     Component,
-    Definiteness,
     GraphDiagram,
     PlumbingTree,
     SeifertClassification,
     blow_down,
     blow_up,
-    definiteness,
     handle_slide,
     moser_seifert,
     plumbing_move_sequence,
@@ -76,11 +76,8 @@ from .floer import (
 )
 from .lattice import (
     EmbeddingWitness,
-    SublatticeWitness,
-    contains_sublattice,
     embed_bound,
     embed_in_diagonal,
     lambda_gram,
-    short_vectors,
 )
 from .certificate import NotFillableCertificate, donaldson_certificate

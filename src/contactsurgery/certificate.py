@@ -12,7 +12,9 @@ produced by a lower layer and re-checkable on its own:
 
 The copy of the obstruction form needs no search: it is spanned by six
 plumbing vertices, as signed unit vectors (lambda_witness), and is
-re-checked against the form before it is used.
+re-checked against the form before it is used, pair by pair through the
+tree's own pairing (PlumbingTree.negated_pairing), so no V x V matrix is
+ever built.
 
 A symplectic filling glued to the plumbing would, by Donaldson's
 diagonalization theorem, embed the negated plumbing lattice, and with it
@@ -23,21 +25,16 @@ that out.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import format_rational, neg_cf_expand
+from .cfrac import format_rational
 from .contact import torus_knot
 from .floer import DerivationChain, knowledge_for, lspace_propagate, verify_chain
-from .kirby import Definiteness, PlumbingTree, plumbing_presentation
-from .lattice import (
-    SublatticeWitness,
-    embed_bound,
-    embed_in_diagonal,
-    freeze,
-    lambda_gram,
-    negate,
-)
+from .homology import Definiteness, Matrix
+from .kirby import PlumbingTree, plumbing_presentation
+from .lattice import embed_bound, embed_in_diagonal, lambda_gram
 
 
 class CertificateFailure(RuntimeError):
@@ -64,15 +61,19 @@ class NotFillableCertificate:
     a1: int
     lspace_chain: DerivationChain
     tree: PlumbingTree
-    sublattice: SublatticeWitness
+    sublattice_vectors: tuple[tuple[int, ...], ...]
     embedding_bound: int
 
     def verify(self) -> bool:
         """Re-check every identity in the certificate.
 
-        The embedding part is a nonexistence statement; re-establishing
-        it means re-running the exhaustive search (donaldson_certificate
-        does exactly that), so here we re-verify the three positive
+        The six sublattice vectors are paired on the tree itself, in
+        O(V + E) per pair, and must give lambda_gram(a1, n): a changed,
+        dropped or lengthened vector, a changed a1 or a changed vertex
+        weight fails here or at the determinant.  The embedding part is a
+        nonexistence statement; re-establishing it means re-running the
+        exhaustive search (donaldson_certificate does exactly that), so
+        here only its bound is checked, beside the three positive
         witnesses and the interval hypothesis.
         """
         lo, hi = 2 * self.n - 1, 4 * self.n
@@ -91,12 +92,11 @@ class NotFillableCertificate:
             return False
         if self.tree.definiteness is not Definiteness.POSITIVE_DEFINITE:
             return False
-        lam = lambda_gram(self.a1, self.n)
-        if self.sublattice.gram != freeze(lam):
+        try:
+            lam = lambda_gram(self.a1, self.n)
+        except ValueError:
             return False
-        if self.sublattice.ambient != freeze(negate(self.tree.intersection_matrix())):
-            return False
-        if not self.sublattice.verify():
+        if not _realizes(self.tree, self.sublattice_vectors, lam):
             return False
         return self.embedding_bound >= embed_bound(lam)
 
@@ -110,7 +110,7 @@ class NotFillableCertificate:
                 "vertices": [[vid, w] for vid, w in self.tree.vertices],
                 "edges": [[a, b] for a, b in self.tree.edges],
             },
-            "sublattice_vectors": [list(v) for v in self.sublattice.vectors],
+            "sublattice_vectors": [list(v) for v in self.sublattice_vectors],
             "embedding": {"bound": self.embedding_bound, "exists": False},
         }
 
@@ -118,13 +118,25 @@ class NotFillableCertificate:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def lambda_witness(tree: PlumbingTree, n: int, a1: int) -> SublatticeWitness:
-    """The copy of lambda(a1, n) in the negated plumbing lattice.
+def _realizes(tree: PlumbingTree, vectors: tuple[tuple[int, ...], ...], gram: Matrix) -> bool:
+    """Whether the vectors have Gram matrix gram in the negated tree form."""
+    k, size = len(gram), len(tree.vertices)
+    if len(vectors) != k or any(len(v) != size for v in vectors):
+        return False
+    return all(
+        tree.negated_pairing(vectors[i], vectors[j]) == gram[i][j]
+        for i in range(k)
+        for j in range(i, k)
+    )
+
+
+def lambda_witness(tree: PlumbingTree, n: int, lam: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The copy of lam = lambda_gram(a1, n) in the negated plumbing lattice.
 
     The plumbing contains the path h1 - c{n} - e2 - k - a1 with e1 on
     e2, of weights n+1, 2, 2, 2, a1, 2: lambda_gram's vertices in its
     order.  Their unit vectors with alternating signs pair every edge to
-    +1 in the negated form, so they span lambda(a1, n) there.  Raises
+    +1 in the negated form, so they span lam there.  Raises
     CertificateFailure("sublattice", ...) if a vertex is missing or the
     vectors do not realize the form.
     """
@@ -138,14 +150,9 @@ def lambda_witness(tree: PlumbingTree, n: int, a1: int) -> SublatticeWitness:
         v = [0] * len(index)
         v[index[name]] = sign
         vectors.append(tuple(v))
-    sub = SublatticeWitness(
-        freeze(negate(tree.intersection_matrix())),
-        freeze(lambda_gram(a1, n)),
-        tuple(vectors),
-    )
-    if not sub.verify():
+    if not _realizes(tree, tuple(vectors), lam):
         raise CertificateFailure("sublattice", "the six vertices do not span the obstruction form")
-    return sub
+    return tuple(vectors)
 
 
 def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
@@ -166,13 +173,14 @@ def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
     if tree.definiteness is not Definiteness.POSITIVE_DEFINITE:
         raise CertificateFailure("plumbing", "intersection form is not positive definite")
 
-    terms = neg_cf_expand((r - 4 * n - 2) / (r - 4 * n - 1)).terms
-    a1 = terms[1]
+    # (r-4n-2)/(r-4n-1) = 2 - (4n-r)/(4n+1-r) = [2, a1, ...] as a negative
+    # continued fraction, so a1 = ceil((4n+1-r)/(4n-r)) = 1 + ceil(1/(4n-r))
+    a1 = 1 + math.ceil(1 / (4 * n - r))
     if tree.weight("a1") != a1:
         raise CertificateFailure("plumbing", "leg coefficient disagrees with the tree")
-    sub = lambda_witness(tree, n, a1)
-
     lam = lambda_gram(a1, n)
+    vectors = lambda_witness(tree, n, lam)
+
     bound = embed_bound(lam)
     if embed_in_diagonal(lam, bound) is not None:
         raise CertificateFailure("embedding", "the obstruction form embeds after all")
@@ -183,6 +191,6 @@ def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
         a1=a1,
         lspace_chain=chain,
         tree=tree,
-        sublattice=sub,
+        sublattice_vectors=vectors,
         embedding_bound=bound,
     )

@@ -7,8 +7,8 @@ generators in terms of the cyclic factors, and answer order-of-element
 questions in cyclic groups.  The elimination takes the least entry left
 as its pivot every round, which keeps the transforms' entries small.
 One fraction-free elimination, bareiss, gives the exact determinant and
-leading minors here, to kirby's definiteness test and to lattice's
-short-vector walk.
+the leading minors behind definiteness (Sylvester's criterion), which
+lattice's embedding search uses to check its input.
 
 Both are dense, cubic in the matrix size, and serve general matrices.
 The structured presentations never reach them at full size: a plumbing
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 Matrix = list[list[int]]
 
@@ -87,6 +88,36 @@ def det_bareiss(a: Matrix) -> int:
         return 1
     r, sign, _ = bareiss(a)
     return sign * r[-1][-1]
+
+
+class Definiteness(Enum):
+    POSITIVE_DEFINITE = "positive-definite"
+    NEGATIVE_DEFINITE = "negative-definite"
+    INDEFINITE = "indefinite"
+    DEGENERATE = "degenerate"
+
+
+def definiteness(m: Matrix) -> Definiteness:
+    """Classify a symmetric integer matrix by its quadratic form.
+
+    One fraction-free elimination (bareiss) decides it.  The
+    form is degenerate when det = 0.  Otherwise a row exchange means some
+    leading principal minor D_k vanishes, so the form is indefinite; with
+    no exchange the pivots are D_1..D_n, and the form is positive
+    definite iff every D_k > 0 and negative definite iff the signs
+    alternate from D_1 < 0 (Sylvester).
+    """
+    n = symmetric_size(m)
+    r, sign, swap = bareiss(m)
+    if sign == 0:
+        return Definiteness.DEGENERATE
+    if swap < n:
+        return Definiteness.INDEFINITE
+    if all(r[k][k] > 0 for k in range(n)):
+        return Definiteness.POSITIVE_DEFINITE
+    if all((r[k][k] < 0) == (k % 2 == 0) for k in range(n)):
+        return Definiteness.NEGATIVE_DEFINITE
+    return Definiteness.INDEFINITE
 
 
 @dataclass(frozen=True)

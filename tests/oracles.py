@@ -3,19 +3,27 @@
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from operator import mul
+from typing import Iterator, Optional
 
 from contactsurgery.floer import DerivationChain, DerivationStep, SlopeKnowledge
-from contactsurgery.homology import Matrix, det_bareiss, smith_normal_form
+from contactsurgery.homology import (
+    Definiteness,
+    Matrix,
+    bareiss,
+    definiteness,
+    det_bareiss,
+    smith_normal_form,
+    symmetric_size,
+)
 from contactsurgery.kirby import (
     PLUMBING_N_BUDGET,
     Component,
-    Definiteness,
     GraphDiagram,
     InternalConsistencyError,
     blow_up,
-    definiteness,
     handle_slide,
     rational_to_integer,
     rolfsen_twist,
@@ -81,7 +89,7 @@ def _floor_plus_sqrt(s, rad):
 def fraction_short_vectors(gram, t):
     """Norm-t vectors of a definite form by rational quadratic completion.
 
-    The reference for lattice.short_vectors: q(x) = sum_i d_i (x_i +
+    The reference for short_vectors: q(x) = sum_i d_i (x_i +
     sum_{j>i} c_ij x_j)^2 over Fraction, walked from the last coordinate,
     then sorted.
     """
@@ -123,6 +131,165 @@ def fraction_short_vectors(gram, t):
 
     walk(n - 1, Fraction(t))
     return sorted(out)
+
+
+# The sublattice search, and the short-vector walk it draws candidates
+# from, left the library once the certificate wrote its copy of the
+# obstruction form down as six plumbing vertices.  They stay here as
+# oracles: the search must agree that the copy exists, and
+# SublatticeWitness re-checks a copy against a dense ambient form.
+
+
+def negate(m: Matrix) -> Matrix:
+    return [[-x for x in row] for row in m]
+
+
+def freeze(m):
+    return tuple(tuple(row) for row in m)
+
+
+def _dot(x, y) -> int:
+    return sum(a * b for a, b in zip(x, y))
+
+
+def _lex_vectors(gram: Matrix, t: int) -> Iterator[tuple[int, ...]]:
+    """Yield the norm-t vectors of a positive definite form, sorted.
+
+    One bareiss pass over the coordinate-reversed form must leave its
+    leading minors D_1..D_n > 0 (D_0 = 1) as pivots, else ValueError,
+    and rows M_k with
+
+        q(x) = sum_k Y_k^2 / (D_k D_{k+1}),
+        Y_k = D_{k+1} z_k + sum_{j>k} M_k[j] z_j,   z_k = x_{n-1-k}.
+
+    With L = lcm_k(D_k D_{k+1}) and w_k = L / (D_k D_{k+1}) the target
+    L t = sum_k w_k Y_k^2 is an identity of integers, and the remaining
+    budget bounds each coordinate exactly by |Y_k| <= isqrt(budget // w_k)
+    (Fincke & Pohst, Math. Comp. 44, 1985).  The walk fixes x_0 first and
+    every range upwards, so the vectors come out in lexicographic order.
+    """
+    n = len(gram)
+    a, _, swap = bareiss([row[::-1] for row in reversed(gram)])
+    pivots = [1] + [a[k][k] for k in range(n)]
+    if swap < n or min(pivots) <= 0:
+        raise ValueError("short vector enumeration needs a definite form")
+    if t <= 0:
+        return
+    scale = 1
+    for k in range(n):
+        scale = math.lcm(scale, pivots[k] * pivots[k + 1])
+    # coordinate x_i is z_k for k = n - 1 - i
+    lead = [pivots[n - i] for i in range(n)]
+    weight = [scale // (pivots[n - 1 - i] * pivots[n - i]) for i in range(n)]
+    coef = [[a[n - 1 - i][n - 1 - j] for j in range(i)] for i in range(n)]
+
+    x = [0] * n
+
+    def walk(i: int, budget: int) -> Iterator[tuple[int, ...]]:
+        s = sum(map(mul, coef[i], x))
+        d, w = lead[i], weight[i]
+        r = math.isqrt(budget // w)
+        for x[i] in range(-((r + s) // d), (r - s) // d + 1):
+            y = d * x[i] + s
+            left = budget - w * y * y
+            if i < n - 1:
+                yield from walk(i + 1, left)
+            elif left == 0:
+                yield tuple(x)
+
+    yield from walk(0, scale * t)
+
+
+def short_vectors(gram: Matrix, t: int) -> list[tuple[int, ...]]:
+    """All integer vectors of norm exactly t in a definite lattice, sorted.
+
+    A definite form is negative definite iff gram[0][0] < 0; then both
+    the form and t are negated.  One elimination checks definiteness and
+    drives the integer-only walk (see _lex_vectors), whose vectors come
+    out in lexicographic order, so nothing is sorted afterwards.
+    """
+    symmetric_size(gram)
+    if gram[0][0] < 0:
+        gram, t = negate(gram), -t
+    return list(_lex_vectors(gram, t))
+
+
+@dataclass(frozen=True)
+class SublatticeWitness:
+    """Coordinate vectors inside the ambient form realizing gram."""
+
+    ambient: tuple[tuple[int, ...], ...]
+    gram: tuple[tuple[int, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
+
+    def verify(self) -> bool:
+        k, n = len(self.gram), len(self.ambient)
+        if len(self.vectors) != k or any(len(v) != n for v in self.vectors):
+            return False
+        images = [[_dot(row, v) for row in self.ambient] for v in self.vectors]
+        return all(
+            _dot(self.vectors[i], images[j]) == self.gram[i][j]
+            for i in range(k)
+            for j in range(k)
+        )
+
+
+def contains_sublattice(target: Matrix, gram: Matrix) -> Optional[SublatticeWitness]:
+    """Find a copy of gram inside the definite form target, if one exists.
+
+    The vectors of gram are
+    placed in order of decreasing norm, each drawn from the target's
+    vectors of that norm in lexicographic order, so the witness is the
+    lexicographically first copy.  The first depth streams its
+    candidates; deeper depths start from one list per norm.
+    Placing v computes A v once and filters every deeper depth's pool by
+    its inner product u . (A v) with v; a pool left empty ends the branch
+    at once, and since pools only lose vectors that cannot be placed, the
+    order of the search, and its witness, is unchanged.
+    """
+    dt, dg = definiteness(target), definiteness(gram)
+    definite = (Definiteness.POSITIVE_DEFINITE, Definiteness.NEGATIVE_DEFINITE)
+    if dt not in definite or dg is not dt:
+        raise ValueError("both forms must be definite, of the same sign")
+    n, k = len(target), len(gram)
+    if k > n:
+        return None
+    sign = 1 if dt is Definiteness.POSITIVE_DEFINITE else -1
+    form = target if sign == 1 else negate(target)
+    order = sorted(range(k), key=lambda i: -abs(gram[i][i]))
+    want = [[sign * gram[order[d]][order[e]] for e in range(d + 1)] for d in range(k)]
+    lists = {t: short_vectors(form, t) for t in {want[d][d] for d in range(1, k)}}
+    norm = want[0][0]
+    first = lists[norm] if norm in lists else _lex_vectors(form, norm)
+    placed: list[tuple[int, ...]] = []
+
+    def dfs(depth: int, pools: list) -> bool:
+        # pools[e - depth]: the candidates for depth e that pass every
+        # inner product with the vectors placed so far
+        if depth == k:
+            return True
+        for v in pools[0]:
+            image = [sum(map(mul, row, v)) for row in form]
+            rest = []
+            for e in range(depth + 1, k):
+                g = want[e][depth]
+                pool = [u for u in pools[e - depth] if sum(map(mul, u, image)) == g]
+                if not pool:
+                    break
+                rest.append(pool)
+            else:
+                placed.append(v)
+                if dfs(depth + 1, rest):
+                    return True
+                placed.pop()
+        return False
+
+    if not dfs(0, [first] + [lists[want[e][e]] for e in range(1, k)]):
+        return None
+    vectors: list[Optional[tuple[int, ...]]] = [None] * k
+    for depth, idx in enumerate(order):
+        vectors[idx] = placed[depth]
+    return SublatticeWitness(freeze(target), freeze(gram), tuple(vectors))
 
 
 def seen_set_embed_in_diagonal(gram, m):

@@ -27,25 +27,25 @@ from contactsurgery.floer import (
     vanishing_predicate,
     verify_chain,
 )
-from contactsurgery.homology import det_bareiss
+from contactsurgery.homology import Definiteness, definiteness, det_bareiss
 from contactsurgery.kirby import (
     Component,
-    Definiteness,
     GraphDiagram,
     blow_up,
-    definiteness,
     handle_slide,
     plumbing_presentation,
     rational_to_integer,
     rolfsen_twist,
 )
-from contactsurgery.lattice import (
-    embed_bound,
-    embed_in_diagonal,
-    lambda_gram,
+from contactsurgery.lattice import embed_bound, embed_in_diagonal, lambda_gram
+from oracles import (
+    SublatticeWitness,
+    check_snf,
+    determinantal_divisors,
+    homology_magnitude,
+    negate,
     short_vectors,
 )
-from oracles import check_snf, determinantal_divisors, homology_magnitude
 
 
 def report(num: int, text: str, seconds: float) -> None:
@@ -158,7 +158,9 @@ def test_criterion_6_full_certificates():
     t0 = time.perf_counter()
     for r in (Fraction(2), Fraction(7, 2)):
         cert = donaldson_certificate(1, r)
-        assert cert.sublattice.verify()
+        dense = negate(cert.tree.intersection_matrix())
+        lam = lambda_gram(cert.a1, 1)
+        assert SublatticeWitness(dense, lam, cert.sublattice_vectors).verify()
         assert cert.verify()
     dt = time.perf_counter() - t0
     assert dt < 120.0

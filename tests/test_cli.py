@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ import pytest
 from contactsurgery.cli import EMBED_RANK_BUDGET, entry
 from contactsurgery.contact import WITNESS_M_BUDGET
 from contactsurgery.homology import format_matrix
-from contactsurgery.kirby import PLUMBING_N_BUDGET
+from contactsurgery.kirby import PLUMBING_N_BUDGET, PLUMBING_VERTEX_BUDGET
 
 
 def run(capsys, *argv):
@@ -231,12 +232,22 @@ NINE_BY_NINE = [
 ]
 
 
+# Each CLI subprocess gets its own 1 GB address-space cap, so that an
+# input that would exhaust memory fails as a MemoryError, not the host.
+ADDRESS_SPACE_CAP = 1 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
 def _cli_process(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
+        preexec_fn=_cap_address_space,
     )
 
 
@@ -293,3 +304,24 @@ def test_over_output_budget(argv):
     # embedding padded to 10^8 coordinates; the default bound of the last
     # lattice-embed case is the sum of its diagonal norms, 10010
     assert_over_budget(*argv)
+
+
+def test_long_leg_certificate_is_linear_in_the_tree():
+    # 10,005 vertices: a dense V x V form here ended in a MemoryError
+    t0 = time.perf_counter()
+    proc = _cli_process("-m", "contactsurgery.cli", "fillable", "--n", "1",
+                        "--slope", "20001/10000", "--certify", "--json")
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["certificate_verified"] is True
+    cert = payload["certificate"]
+    assert len(cert["plumbing"]["vertices"]) == 10_005
+    assert [len(v) for v in cert["sublattice_vectors"]] == [10_005] * 6
+
+
+@pytest.mark.parametrize("command", [("plumbing",), ("fillable", "--certify")])
+def test_plumbing_over_vertex_budget(command):
+    # at n = 1 the slope (2q + 1)/q gives a tree of q + 5 vertices
+    q = PLUMBING_VERTEX_BUDGET - 4
+    assert_over_budget(*command, "--n", "1", "--slope", f"{2 * q + 1}/{q}")

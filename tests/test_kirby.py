@@ -5,18 +5,18 @@ from fractions import Fraction
 import pytest
 
 from contactsurgery import kirby
-from contactsurgery.homology import det_bareiss
+from contactsurgery.cfrac import neg_cf_length
+from contactsurgery.homology import Definiteness, definiteness, det_bareiss
 from contactsurgery.kirby import (
     PLUMBING_N_BUDGET,
+    PLUMBING_VERTEX_BUDGET,
     Component,
-    Definiteness,
     GraphDiagram,
     InternalConsistencyError,
     MoveError,
     PlumbingTree,
     blow_down,
     blow_up,
-    definiteness,
     format_graph_diagram,
     format_plumbing_tree,
     handle_slide,
@@ -720,6 +720,48 @@ def test_tree_form_needs_a_forest():
 def test_plumbing_budget():
     with pytest.raises(ValueError, match="budget"):
         plumbing_move_sequence(PLUMBING_N_BUDGET + 1, Fraction(2))
+
+
+def test_plumbing_vertex_count_is_known_before_any_move():
+    rng = random.Random(47)
+    slopes = [(1, Fraction(2)), (2, Fraction(15, 2)), (3, Fraction(0)), (11, Fraction(-100, 37))]
+    for _ in range(60):
+        n, q = rng.randint(1, 6), rng.randint(1, 40)
+        slopes.append((n, Fraction(rng.randint(-3 * q, 4 * n * q - 1), q)))
+    for n, r in slopes:
+        size = 4 + neg_cf_length((r - 4 * n - 2) / (r - 4 * n - 1))
+        assert len(plumbing_presentation(n, r).vertices) == size, (n, r)
+
+
+def test_plumbing_vertex_budget(monkeypatch):
+    # at n = 1 the slope (2q + 1)/q gives a tree of q + 5 vertices
+    q = PLUMBING_VERTEX_BUDGET - 5
+    assert len(plumbing_presentation(1, Fraction(2 * q + 1, q)).vertices) == PLUMBING_VERTEX_BUDGET
+
+    def no_moves(*args):
+        raise AssertionError("a diagram was built over the budget")
+
+    monkeypatch.setattr(kirby, "GraphDiagram", no_moves)
+    with pytest.raises(ValueError, match="budget"):
+        plumbing_presentation(1, Fraction(2 * q + 3, q + 1))
+
+
+def test_negated_pairing_matches_the_dense_form():
+    rng = random.Random(53)
+    for _ in range(40):
+        size = rng.randint(1, 9)
+        vertices = tuple((f"v{i}", rng.randint(-4, 4)) for i in range(size))
+        edges = tuple((f"v{rng.randrange(i)}", f"v{i}") for i in range(1, size))
+        tree = PlumbingTree(vertices, edges)
+        m = tree.intersection_matrix()
+        x = [rng.randint(-3, 3) for _ in range(size)]
+        y = [rng.randint(-3, 3) for _ in range(size)]
+        dense = -sum(x[i] * m[i][j] * y[j] for i in range(size) for j in range(size))
+        assert tree.negated_pairing(x, y) == dense == tree.negated_pairing(y, x)
+    with pytest.raises(ValueError, match="length"):
+        tree.negated_pairing(x + [0], y)
+    with pytest.raises(ValueError, match="length"):
+        tree.negated_pairing(x, y[:-1])
 
 
 def test_plumbing_self_check_survives_optimize(monkeypatch):

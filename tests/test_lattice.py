@@ -13,26 +13,22 @@ from contactsurgery.certificate import (
     donaldson_certificate,
     lambda_witness,
 )
-from contactsurgery.homology import det_bareiss
-from contactsurgery.kirby import (
-    Definiteness,
-    PlumbingTree,
-    definiteness,
-    plumbing_presentation,
-)
+from contactsurgery.homology import Definiteness, definiteness, det_bareiss
+from contactsurgery.kirby import PlumbingTree, plumbing_presentation
 from contactsurgery.lattice import (
     EmbeddingWitness,
-    contains_sublattice,
     embed_bound,
     embed_in_diagonal,
     lambda_gram,
+)
+from oracles import (
+    SublatticeWitness,
+    contains_sublattice,
+    fraction_short_vectors,
+    negate,
+    seen_set_embed_in_diagonal,
     short_vectors,
 )
-from oracles import fraction_short_vectors, seen_set_embed_in_diagonal
-
-
-def negate(m):
-    return [[-x for x in row] for row in m]
 
 
 def gram_ak(k):
@@ -332,7 +328,8 @@ def test_obstruction_form_sits_in_the_plumbing():
 def test_sublattice_search_finds_the_obstruction_form_on_certify_slopes():
     # every slope the certify workload draws: n <= 2, q <= 20, a1 = 2 up
     # to 17 vertices and a1 = 3 up to 14; the certificate writes this copy
-    # down instead, and the search must agree that one exists
+    # down instead, the search must agree that one exists, and the copy
+    # written down must pass the dense re-check too
     cases = 0
     for n in (1, 2):
         for q in range(1, 21):
@@ -343,8 +340,11 @@ def test_sublattice_search_finds_the_obstruction_form_on_certify_slopes():
                 a1, size = tree.weight("a1"), len(tree.vertices)
                 if size > {2: 17, 3: 14}.get(a1, 0):
                     continue
-                w = contains_sublattice(negate(tree.intersection_matrix()), lambda_gram(a1, n))
+                lam = lambda_gram(a1, n)
+                w = contains_sublattice(negate(tree.intersection_matrix()), lam)
                 assert w is not None and w.verify(), (n, p, q)
+                written = SublatticeWitness(w.ambient, w.gram, lambda_witness(tree, n, lam))
+                assert written.verify(), (n, p, q)
                 cases += 1
     assert cases == 821
 
@@ -354,10 +354,11 @@ def test_sublattice_search_finds_the_obstruction_form_on_certify_slopes():
 
 def test_lambda_witness_is_six_signed_vertices():
     tree = plumbing_presentation(3, Fraction(41, 4))
-    w = lambda_witness(tree, 3, tree.weight("a1"))
-    assert w.verify()
+    lam = lambda_gram(tree.weight("a1"), 3)
+    vectors = lambda_witness(tree, 3, lam)
+    assert SublatticeWitness(negate(tree.intersection_matrix()), lam, vectors).verify()
     ids = [vid for vid, _ in tree.vertices]
-    support = [(ids[v.index(x)], x) for v in w.vectors for x in v if x]
+    support = [(ids[v.index(x)], x) for v in vectors for x in v if x]
     assert support == [("h1", 1), ("c3", -1), ("e2", 1), ("k", -1), ("a1", 1), ("e1", -1)]
 
 
@@ -368,14 +369,14 @@ def test_lambda_witness_rejects_a_tree_without_the_form():
         tuple(e for e in tree.edges if "e1" not in e),
     )
     with pytest.raises(CertificateFailure) as err:
-        lambda_witness(no_e1, 1, 2)
+        lambda_witness(no_e1, 1, lambda_gram(2, 1))
     assert err.value.part == "sublattice"
     # every name present, but h1 has the wrong weight
     heavy = PlumbingTree(
         tuple((vid, w + 1 if vid == "h1" else w) for vid, w in tree.vertices), tree.edges
     )
     with pytest.raises(CertificateFailure) as err:
-        lambda_witness(heavy, 1, 2)
+        lambda_witness(heavy, 1, lambda_gram(2, 1))
     assert err.value.part == "sublattice"
 
 
@@ -429,11 +430,52 @@ def test_certificate_verify_rejects_tampering():
     assert not dataclasses.replace(cert, embedding_bound=5).verify()
     bound = cert.embedding_bound
     assert not dataclasses.replace(cert, embedding_bound=bound - 1).verify()
-    vectors = [list(v) for v in cert.sublattice.vectors]
+    vectors = [list(v) for v in cert.sublattice_vectors]
     vectors[0] = [-x for x in vectors[0]]  # flip the one nonzero entry
-    flipped = dataclasses.replace(cert.sublattice, vectors=tuple(map(tuple, vectors)))
-    assert not flipped.verify()
-    assert not dataclasses.replace(cert, sublattice=flipped).verify()
+    flipped = tuple(map(tuple, vectors))
+    dense = SublatticeWitness(negate(cert.tree.intersection_matrix()), lambda_gram(2, 1), flipped)
+    assert not dense.verify()
+    assert not dataclasses.replace(cert, sublattice_vectors=flipped).verify()
+
+
+# n <= 3 and a1 = 2, 3, 4: 4n - r >= 1, in [1/2, 1) and in [1/3, 1/2)
+TAMPER_CASES = [(1, Fraction(2)), (3, Fraction(41, 4)), (1, Fraction(7, 2)),
+                (2, Fraction(15, 2)), (3, Fraction(23, 2)), (1, Fraction(11, 3))]
+
+
+@pytest.mark.parametrize("n, r", TAMPER_CASES, ids=lambda x: str(x))
+def test_certificate_verify_rejects_tampered_vectors(n, r):
+    cert = donaldson_certificate(n, r)
+    assert cert.verify()
+    vs = cert.sublattice_vectors
+    dense = negate(cert.tree.intersection_matrix())
+    lam = lambda_gram(cert.a1, n)
+    for i, v in enumerate(vs):
+        for j in range(len(v)):
+            bumped = vs[:i] + (v[:j] + (v[j] + 1,) + v[j + 1:],) + vs[i + 1:]
+            # the dense form confirms that the change breaks the copy
+            assert not SublatticeWitness(dense, lam, bumped).verify(), (i, j)
+            assert not dataclasses.replace(cert, sublattice_vectors=bumped).verify(), (i, j)
+    for i in range(len(vs)):
+        assert not dataclasses.replace(cert, sublattice_vectors=vs[:i] + vs[i + 1:]).verify()
+        longer = vs[:i] + (vs[i] + (0,),) + vs[i + 1:]
+        assert not dataclasses.replace(cert, sublattice_vectors=longer).verify()
+    assert not dataclasses.replace(cert, sublattice_vectors=vs + vs[:1]).verify()
+
+
+@pytest.mark.parametrize("n, r", TAMPER_CASES, ids=lambda x: str(x))
+def test_certificate_verify_rejects_tampered_a1_and_weights(n, r):
+    cert = donaldson_certificate(n, r)
+    assert cert.a1 == 1 + math.ceil(1 / (4 * n - r))
+    for a1 in (cert.a1 - 1, cert.a1 + 1, cert.a1 + 2):
+        assert not dataclasses.replace(cert, a1=a1).verify(), a1
+    tree = cert.tree
+    for vid, _ in tree.vertices:
+        for step in (-1, 1):
+            heavier = PlumbingTree(
+                tuple((u, w + step if u == vid else w) for u, w in tree.vertices), tree.edges
+            )
+            assert not dataclasses.replace(cert, tree=heavier).verify(), (vid, step)
 
 
 def test_certificate_failure_carries_part():

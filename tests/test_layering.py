@@ -1,12 +1,12 @@
 """The package's import graph, read from the sources with ast.
 
 cfrac and homology are pure-arithmetic leaves, lattice sits on homology
-and kirby only, and the certificate is assembly that only the CLI and
-the package root pull in.  The CLI and the certificate run no
-elimination of their own: they read a plumbing's determinant and
-definiteness off the tree.  Nor does the certificate search for its copy
-of the obstruction form: it writes it down.  No module imports another's
-underscore names.
+only, and the certificate is assembly that only the CLI and the package
+root pull in.  The CLI and the certificate run no elimination of their
+own: they read a plumbing's determinant and definiteness off the tree.
+Nor does the certificate search for its copy of the obstruction form:
+it writes it down and pairs it on the tree, never through a dense
+intersection matrix.  No module imports another's underscore names.
 """
 
 import ast
@@ -53,8 +53,8 @@ def test_arithmetic_leaves_import_nothing_from_the_package():
     assert graph["homology"] == set()
 
 
-def test_lattice_sits_on_homology_and_kirby_only():
-    assert import_graph()["lattice"] <= {"homology", "kirby"}
+def test_lattice_sits_on_homology_only():
+    assert import_graph()["lattice"] == {"homology"}
 
 
 def test_only_cli_and_root_import_the_certificate():
@@ -84,6 +84,11 @@ def test_certificate_runs_no_sublattice_search():
     # the obstruction form's copy is written down; no search may return
     names = imported_names(PACKAGE / "certificate.py")
     assert not names & {"contains_sublattice", "short_vectors", "_lex_vectors"}
+
+
+def test_certificate_builds_no_dense_plumbing_form():
+    # the six vectors are paired on the tree, in O(V + E) per pair
+    assert "intersection_matrix" not in (PACKAGE / "certificate.py").read_text()
 
 
 def test_kirby_keeps_no_test_only_determinant():
