@@ -76,6 +76,7 @@ from .floer import (
 )
 from .lattice import (
     EmbeddingWitness,
+    d4_lemma,
     embed_bound,
     embed_in_diagonal,
     lambda_gram,

@@ -7,8 +7,8 @@ produced by a lower layer and re-checkable on its own:
   * floer: a derivation chain showing the surgery has minimal Floer rank;
   * kirby: the positive definite plumbing tree bounding the surgery;
   * lattice: the rank-6 obstruction form inside the negated plumbing
-    lattice, and the exhausted search showing that form has no negative
-    diagonal embedding up to the saturating rank.
+    lattice, and the D4 lemma showing that form has no negative diagonal
+    embedding in any rank.
 
 The copy of the obstruction form needs no search: it is spanned by six
 plumbing vertices, as signed unit vectors (lambda_witness), and is
@@ -17,9 +17,10 @@ tree's own pairing (PlumbingTree.negated_pairing), so no V x V matrix is
 ever built.
 
 A symplectic filling glued to the plumbing would, by Donaldson's
-diagonalization theorem, embed the negated plumbing lattice, and with it
-the obstruction form, into a diagonal lattice; the last ingredient rules
-that out.
+diagonalization theorem (J. Diff. Geom. 26, 1987), embed the negated
+plumbing lattice, and with it the obstruction form, into a diagonal
+lattice; the last ingredient, a lemma with constant work rather than a
+search, rules that out.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .contact import torus_knot
 from .floer import DerivationChain, knowledge_for, lspace_propagate, verify_chain
 from .homology import Definiteness, Matrix
 from .kirby import PlumbingTree, plumbing_presentation
-from .lattice import embed_bound, embed_in_diagonal, lambda_gram
+from .lattice import d4_lemma, embed_bound, lambda_gram
 
 
 class CertificateFailure(RuntimeError):
@@ -52,8 +53,8 @@ class NotFillableCertificate:
     Four ingredients: a derivation that the surgery has minimal Floer
     rank, the positive definite plumbing it bounds, six signed plumbing
     vertices spanning the rank-6 form in the negated plumbing lattice,
-    and the bound up to which the exhausted search found no negative
-    diagonal embedding of that form.
+    and the D4 lemma (lattice.d4_lemma) that this form has no negative
+    diagonal embedding; embedding_bound is the rank a search would need.
     """
 
     n: int
@@ -70,11 +71,9 @@ class NotFillableCertificate:
         The six sublattice vectors are paired on the tree itself, in
         O(V + E) per pair, and must give lambda_gram(a1, n): a changed,
         dropped or lengthened vector, a changed a1 or a changed vertex
-        weight fails here or at the determinant.  The embedding part is a
-        nonexistence statement; re-establishing it means re-running the
-        exhaustive search (donaldson_certificate does exactly that), so
-        here only its bound is checked, beside the three positive
-        witnesses and the interval hypothesis.
+        weight fails here or at the determinant.  The nonexistence half
+        is re-established by the D4 lemma, beside the three positive
+        witnesses, the interval hypothesis and the embedding bound.
         """
         lo, hi = 2 * self.n - 1, 4 * self.n
         if not lo <= self.slope < hi:
@@ -98,7 +97,7 @@ class NotFillableCertificate:
             return False
         if not _realizes(self.tree, self.sublattice_vectors, lam):
             return False
-        return self.embedding_bound >= embed_bound(lam)
+        return self.embedding_bound >= embed_bound(lam) and d4_lemma()
 
     def as_dict(self) -> dict:
         return {
@@ -169,21 +168,16 @@ def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
     if chain is None:
         raise CertificateFailure("lspace", f"no derivation chain reaches {r}")
 
+    # plumbing_presentation raises unless the tree is positive definite
     tree = plumbing_presentation(n, r)
-    if tree.definiteness is not Definiteness.POSITIVE_DEFINITE:
-        raise CertificateFailure("plumbing", "intersection form is not positive definite")
-
     # (r-4n-2)/(r-4n-1) = 2 - (4n-r)/(4n+1-r) = [2, a1, ...] as a negative
-    # continued fraction, so a1 = ceil((4n+1-r)/(4n-r)) = 1 + ceil(1/(4n-r))
+    # continued fraction, so a1 = ceil((4n+1-r)/(4n-r)) = 1 + ceil(1/(4n-r));
+    # lambda_witness rejects a tree whose a1 vertex has another weight
     a1 = 1 + math.ceil(1 / (4 * n - r))
-    if tree.weight("a1") != a1:
-        raise CertificateFailure("plumbing", "leg coefficient disagrees with the tree")
     lam = lambda_gram(a1, n)
     vectors = lambda_witness(tree, n, lam)
-
-    bound = embed_bound(lam)
-    if embed_in_diagonal(lam, bound) is not None:
-        raise CertificateFailure("embedding", "the obstruction form embeds after all")
+    if not d4_lemma():
+        raise CertificateFailure("embedding", "the D4 lemma does not hold")
 
     return NotFillableCertificate(
         n=n,
@@ -192,5 +186,5 @@ def donaldson_certificate(n: int, r: Fraction) -> NotFillableCertificate:
         lspace_chain=chain,
         tree=tree,
         sublattice_vectors=vectors,
-        embedding_bound=bound,
+        embedding_bound=embed_bound(lam),
     )

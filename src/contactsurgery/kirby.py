@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .cfrac import format_rational, neg_cf_expand, neg_cf_length, parse_rational
-from .homology import Definiteness, Matrix, content_lines
+from .homology import Definiteness, content_lines
 
 
 class MoveError(ValueError):
@@ -558,15 +558,6 @@ class PlumbingTree:
             if xi:
                 total -= xi * (self.vertices[i][1] * y[i] + sum(y[j] for j in self._nbrs[i]))
         return total
-
-    def intersection_matrix(self) -> Matrix:
-        n = len(self.vertices)
-        m = [[0] * n for _ in range(n)]
-        for i, (_, w) in enumerate(self.vertices):
-            m[i][i] = w
-            for j, v in self._nbrs[i].items():
-                m[i][j] = v
-        return m
 
 
 # The rewriting's ~3n moves each edit a few components of one working

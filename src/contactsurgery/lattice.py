@@ -9,7 +9,8 @@ down as six plumbing vertices and checks it on the tree; what is left
 here is exact integer arithmetic on small forms, with no fractions and
 no floating point:
 
-  * lambda_gram is the rank-6 obstruction form;
+  * lambda_gram is the rank-6 obstruction form, and d4_lemma proves from
+    its D4 part that no diagonal lattice holds it, for any a1 and n;
   * embed_in_diagonal searches for an isometric embedding into the
     negative diagonal lattice of a given rank by orderly generation,
     placing the vectors in order of increasing norm: each new vector is
@@ -26,6 +27,8 @@ module.  The module sits on the homology leaf only.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -60,6 +63,38 @@ def lambda_gram(a1: int, n: int) -> Matrix:
     for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (2, 5)):
         g[i][j] = g[j][i] = 1
     return g
+
+
+@functools.cache
+def d4_lemma() -> bool:
+    """Whether lambda_gram(a1, n) embeds in no diagonal lattice, for all a1, n.
+
+    Its D4 is the center e2 with the pairwise orthogonal leaves c{n}, k
+    and e1, each pairing 1 with e2; h1 pairs only with c{n}, a1 only with
+    k.  The norm-2 vectors of Z^m are +-e_i +- e_j, so the four roots use
+    at most 5 coordinates, and up to signed permutations every labeled
+    copy sits in Z^5 with e2 = e_0 + e_1: the loop below is exhaustive.
+    Each copy must span exactly 4 coordinates S; the roots then span Q^S,
+    so a vector's part on S is fixed by its pairings with them.  h1's part
+    is -(c + e2 + (k + e1)/2), integral iff k = e1 mod 2, and a1's part is
+    -(k + e2 + (c + e1)/2), integral iff c = e1 mod 2.  No copy allows
+    both (D4 triality: one nonzero class of D4*/D4 lies in Z^4;
+    Conway-Sloane, SPLAG ch. 4).  The work is constant and done once.
+    """
+    center = (1, 1, 0, 0, 0)
+    roots = [tuple(s * (i == a) + t * (i == b) for i in range(5))
+             for a, b in itertools.combinations(range(5), 2) for s in (1, -1) for t in (1, -1)]
+    leaves = [v for v in roots if _dot(v, center) == -1]
+    for c, k, e1 in itertools.permutations(leaves, 3):
+        if _dot(c, k) or _dot(c, e1) or _dot(k, e1):
+            continue
+        if sum(any(col) for col in zip(center, c, k, e1)) != 4:
+            return False
+        h1_fits = all((x - y) % 2 == 0 for x, y in zip(k, e1))
+        a1_fits = all((x - y) % 2 == 0 for x, y in zip(c, e1))
+        if h1_fits and a1_fits:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

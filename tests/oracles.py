@@ -23,6 +23,7 @@ from contactsurgery.kirby import (
     Component,
     GraphDiagram,
     InternalConsistencyError,
+    PlumbingTree,
     blow_up,
     handle_slide,
     rational_to_integer,
@@ -358,6 +359,17 @@ def seen_set_embed_in_diagonal(gram, m):
     for depth, idx in enumerate(order):
         vectors[idx] = placed[depth]
     return EmbeddingWitness(tuple(map(tuple, gram)), m, tuple(vectors))
+
+
+def intersection_matrix(tree: PlumbingTree) -> Matrix:
+    """The dense form of a plumbing: weights on the diagonal, 1 per edge."""
+    index = {vid: i for i, (vid, _) in enumerate(tree.vertices)}
+    m = [[0] * len(index) for _ in index]
+    for i, (_, w) in enumerate(tree.vertices):
+        m[i][i] = w
+    for a, b in tree.edges:
+        m[index[a]][index[b]] = m[index[b]][index[a]] = 1
+    return m
 
 
 def generalized_linking_matrix(d: GraphDiagram) -> Matrix:

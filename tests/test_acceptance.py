@@ -43,6 +43,7 @@ from oracles import (
     check_snf,
     determinantal_divisors,
     homology_magnitude,
+    intersection_matrix,
     negate,
     short_vectors,
 )
@@ -127,7 +128,7 @@ def test_criterion_4_plumbing_oracle():
             t0 = time.perf_counter()
             tree = plumbing_presentation(n, r)
             dt = time.perf_counter() - t0
-            m = tree.intersection_matrix()
+            m = intersection_matrix(tree)
             assert abs(det_bareiss(m)) == abs(r.numerator)
             assert definiteness(m) is Definiteness.POSITIVE_DEFINITE
             assert dt < 1.0
@@ -158,7 +159,7 @@ def test_criterion_6_full_certificates():
     t0 = time.perf_counter()
     for r in (Fraction(2), Fraction(7, 2)):
         cert = donaldson_certificate(1, r)
-        dense = negate(cert.tree.intersection_matrix())
+        dense = negate(intersection_matrix(cert.tree))
         lam = lambda_gram(cert.a1, 1)
         assert SublatticeWitness(dense, lam, cert.sublattice_vectors).verify()
         assert cert.verify()

@@ -320,6 +320,21 @@ def test_long_leg_certificate_is_linear_in_the_tree():
     assert [len(v) for v in cert["sublattice_vectors"]] == [10_005] * 6
 
 
+def test_large_a1_certificate_needs_no_search():
+    # a1 = 1001: the embedding search found no answer for lambda(1001, 500)
+    # in minutes; the D4 lemma settles it for every a1 at constant cost
+    t0 = time.perf_counter()
+    proc = _cli_process("-m", "contactsurgery.cli", "fillable", "--n", "500",
+                        "--slope", "1999999/1000", "--certify", "--json")
+    assert time.perf_counter() - t0 < 2.0
+    assert proc.returncode == 0 and proc.stderr == ""
+    payload = json.loads(proc.stdout)
+    assert payload["certificate_verified"] is True
+    cert = payload["certificate"]
+    assert cert["a1"] == 1001
+    assert cert["embedding"] == {"bound": 1510, "exists": False}
+
+
 @pytest.mark.parametrize("command", [("plumbing",), ("fillable", "--certify")])
 def test_plumbing_over_vertex_budget(command):
     # at n = 1 the slope (2q + 1)/q gives a tree of q + 5 vertices

@@ -57,7 +57,7 @@ def test_golden(path, monkeypatch):
 
 
 def test_golden_cases_present():
-    assert len(list(GOLDEN.glob("*.golden"))) >= 72
+    assert len(list(GOLDEN.glob("*.golden"))) >= 74
 
 
 if __name__ == "__main__":

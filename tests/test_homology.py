@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from contactsurgery.homology import (
     CyclicDecomposition,
+    Definiteness,
     bareiss,
+    definiteness,
     det_bareiss,
     format_matrix,
     h1_from_linking,
@@ -72,6 +74,105 @@ def test_bareiss_against_sympy():
                 # the elimination left the minors only where one vanished
                 assert minors[swap] == 0, a
     assert exchanged >= 20 and stopped >= 20
+
+
+def sylvester_oracle(m):
+    n = len(m)
+    minors = [det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
+    if minors[-1] == 0:
+        return Definiteness.DEGENERATE
+    if all(x > 0 for x in minors):
+        return Definiteness.POSITIVE_DEFINITE
+    if all((x > 0) == (k % 2 == 1) for k, x in enumerate(minors)):
+        return Definiteness.NEGATIVE_DEFINITE
+    return Definiteness.INDEFINITE
+
+
+def test_definiteness_frozen():
+    assert definiteness([[2, 1], [1, 2]]) is Definiteness.POSITIVE_DEFINITE
+    assert definiteness([[-2, 1], [1, -2]]) is Definiteness.NEGATIVE_DEFINITE
+    assert definiteness([[0, 1], [1, 0]]) is Definiteness.INDEFINITE
+    assert definiteness([[1, 0], [0, -1]]) is Definiteness.INDEFINITE
+    assert definiteness([[1, 1], [1, 1]]) is Definiteness.DEGENERATE
+    assert definiteness([[0, 0], [0, 0]]) is Definiteness.DEGENERATE
+    assert definiteness([[5]]) is Definiteness.POSITIVE_DEFINITE
+    with pytest.raises(ValueError):
+        definiteness([[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        definiteness([])
+
+
+def test_definiteness_against_minor_oracle():
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.randint(-4, 4)
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(-3, 3)
+        want = sylvester_oracle(m)
+        got = definiteness(m)
+        if want is Definiteness.INDEFINITE and got is not Definiteness.INDEFINITE:
+            # a zero leading minor with nonzero det is indefinite; the
+            # oracle and the elimination agree on that, so mismatches
+            # here would be real bugs
+            pytest.fail(f"{m}: oracle {want}, got {got}")
+        assert got == want
+
+
+def _random_form(rng, n, family):
+    if family == 0:  # arbitrary symmetric entries
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            m[i][i] = rng.randint(-4, 4)
+            for j in range(i + 1, n):
+                m[i][j] = m[j][i] = rng.randint(-2, 2)
+        return m
+    # +-B^T B for B of rank <= k: definite when k = n, degenerate when k < n
+    k = n if family == 1 else rng.randint(1, n)
+    b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+    sign = rng.choice((1, -1))
+    m = [[sign * sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+    if family == 3:  # perturb one symmetric pair
+        i, j = rng.randrange(n), rng.randrange(n)
+        d = rng.choice((1, -1))
+        m[i][j] += d
+        if i != j:
+            m[j][i] += d
+    if family == 4:  # force a zero leading principal minor D_1 or D_2
+        if n == 1 or rng.random() < 0.5:
+            m[0][0] = 0
+        else:
+            m[1][1] = m[0][1] = m[1][0] = m[0][0] or 1
+    return m
+
+
+def test_definiteness_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2004)
+    seen = set()
+    zero_minor_nondegenerate = 0
+    for trial in range(250):
+        n = rng.randint(1, 8)
+        m = _random_form(rng, n, trial % 5)
+        sm = sympy.Matrix(m)
+        det = int(sm.det())
+        if det == 0:
+            want = Definiteness.DEGENERATE
+        elif sm.is_positive_definite:
+            want = Definiteness.POSITIVE_DEFINITE
+        elif sm.is_negative_definite:
+            want = Definiteness.NEGATIVE_DEFINITE
+        else:
+            want = Definiteness.INDEFINITE
+        assert definiteness(m) is want, m
+        assert det_bareiss(m) == det, m
+        seen.add(want)
+        leading = [det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
+        zero_minor_nondegenerate += det != 0 and 0 in leading
+    assert seen == set(Definiteness)
+    assert zero_minor_nondegenerate >= 10
 
 
 def test_snf_against_sympy():

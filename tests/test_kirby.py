@@ -34,6 +34,7 @@ from oracles import (
     copying_plumbing_move_sequence,
     generalized_linking_matrix,
     homology_magnitude,
+    intersection_matrix,
     union_find_components,
 )
 
@@ -313,105 +314,6 @@ def test_move_invariance_bulk():
             assert homology_magnitude(slam_dunk(d5, "leaf")) == homology_magnitude(d5)
 
 
-def sylvester_oracle(m):
-    n = len(m)
-    minors = [det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
-    if minors[-1] == 0:
-        return Definiteness.DEGENERATE
-    if all(x > 0 for x in minors):
-        return Definiteness.POSITIVE_DEFINITE
-    if all((x > 0) == (k % 2 == 1) for k, x in enumerate(minors)):
-        return Definiteness.NEGATIVE_DEFINITE
-    return Definiteness.INDEFINITE
-
-
-def test_definiteness_frozen():
-    assert definiteness([[2, 1], [1, 2]]) is Definiteness.POSITIVE_DEFINITE
-    assert definiteness([[-2, 1], [1, -2]]) is Definiteness.NEGATIVE_DEFINITE
-    assert definiteness([[0, 1], [1, 0]]) is Definiteness.INDEFINITE
-    assert definiteness([[1, 0], [0, -1]]) is Definiteness.INDEFINITE
-    assert definiteness([[1, 1], [1, 1]]) is Definiteness.DEGENERATE
-    assert definiteness([[0, 0], [0, 0]]) is Definiteness.DEGENERATE
-    assert definiteness([[5]]) is Definiteness.POSITIVE_DEFINITE
-    with pytest.raises(ValueError):
-        definiteness([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        definiteness([])
-
-
-def test_definiteness_against_minor_oracle():
-    rng = random.Random(11)
-    for _ in range(400):
-        n = rng.randint(1, 4)
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = rng.randint(-4, 4)
-            for j in range(i + 1, n):
-                m[i][j] = m[j][i] = rng.randint(-3, 3)
-        want = sylvester_oracle(m)
-        got = definiteness(m)
-        if want is Definiteness.INDEFINITE and got is not Definiteness.INDEFINITE:
-            # a zero leading minor with nonzero det is indefinite; the
-            # oracle and the elimination agree on that, so mismatches
-            # here would be real bugs
-            pytest.fail(f"{m}: oracle {want}, got {got}")
-        assert got == want
-
-
-def _random_form(rng, n, family):
-    if family == 0:  # arbitrary symmetric entries
-        m = [[0] * n for _ in range(n)]
-        for i in range(n):
-            m[i][i] = rng.randint(-4, 4)
-            for j in range(i + 1, n):
-                m[i][j] = m[j][i] = rng.randint(-2, 2)
-        return m
-    # +-B^T B for B of rank <= k: definite when k = n, degenerate when k < n
-    k = n if family == 1 else rng.randint(1, n)
-    b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
-    sign = rng.choice((1, -1))
-    m = [[sign * sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
-    if family == 3:  # perturb one symmetric pair
-        i, j = rng.randrange(n), rng.randrange(n)
-        d = rng.choice((1, -1))
-        m[i][j] += d
-        if i != j:
-            m[j][i] += d
-    if family == 4:  # force a zero leading principal minor D_1 or D_2
-        if n == 1 or rng.random() < 0.5:
-            m[0][0] = 0
-        else:
-            m[1][1] = m[0][1] = m[1][0] = m[0][0] or 1
-    return m
-
-
-def test_definiteness_against_sympy():
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(2004)
-    seen = set()
-    zero_minor_nondegenerate = 0
-    for trial in range(250):
-        n = rng.randint(1, 8)
-        m = _random_form(rng, n, trial % 5)
-        sm = sympy.Matrix(m)
-        det = int(sm.det())
-        if det == 0:
-            want = Definiteness.DEGENERATE
-        elif sm.is_positive_definite:
-            want = Definiteness.POSITIVE_DEFINITE
-        elif sm.is_negative_definite:
-            want = Definiteness.NEGATIVE_DEFINITE
-        else:
-            want = Definiteness.INDEFINITE
-        assert definiteness(m) is want, m
-        assert det_bareiss(m) == det, m
-        seen.add(want)
-        leading = [det_bareiss([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
-        zero_minor_nondegenerate += det != 0 and 0 in leading
-    assert seen == set(Definiteness)
-    assert zero_minor_nondegenerate >= 10
-
-
 def test_moser_classification():
     c = moser_seifert(3, 2, Fraction(5))
     assert c.multiplicities == (3, 2, 1) and c.is_lens and not c.is_degenerate
@@ -451,7 +353,7 @@ def leg_lengths(tree: PlumbingTree):
 
 def exceptional_tree_case(n, r, vertex_count, det):
     tree = plumbing_presentation(n, Fraction(r))
-    m = tree.intersection_matrix()
+    m = intersection_matrix(tree)
     assert len(tree.vertices) == vertex_count
     assert det_bareiss(m) == det
     assert definiteness(m) is Definiteness.POSITIVE_DEFINITE
@@ -568,7 +470,7 @@ def test_plumbing_definite_on_interval():
         for r in samples:
             assert lo <= r < hi
             tree = plumbing_presentation(n, r)
-            m = tree.intersection_matrix()
+            m = intersection_matrix(tree)
             assert definiteness(m) is Definiteness.POSITIVE_DEFINITE
             assert abs(det_bareiss(m)) == abs(r.numerator)
         with pytest.raises(ValueError):
@@ -577,11 +479,11 @@ def test_plumbing_definite_on_interval():
             plumbing_presentation(n, Fraction(hi) + 2)
     # below the interval the pipeline still runs and keeps homology
     tree = plumbing_presentation(1, Fraction(1, 2))
-    assert abs(det_bareiss(tree.intersection_matrix())) == 1
+    assert abs(det_bareiss(intersection_matrix(tree))) == 1
     tree = plumbing_presentation(1, Fraction(0))
-    assert definiteness(tree.intersection_matrix()) is Definiteness.DEGENERATE
+    assert definiteness(intersection_matrix(tree)) is Definiteness.DEGENERATE
     tree = plumbing_presentation(1, Fraction(-3))
-    assert abs(det_bareiss(tree.intersection_matrix())) == 3
+    assert abs(det_bareiss(intersection_matrix(tree))) == 3
 
 
 def test_graph_diagram_round_trip():
@@ -612,7 +514,7 @@ def test_plumbing_tree_round_trip():
 
 
 def test_definiteness_of_negated_form():
-    m = plumbing_presentation(1, Fraction(1)).intersection_matrix()
+    m = intersection_matrix(plumbing_presentation(1, Fraction(1)))
     neg = [[-x for x in row] for row in m]
     assert definiteness(neg) is Definiteness.NEGATIVE_DEFINITE
 
@@ -637,7 +539,7 @@ def test_tree_form_against_dense_elimination():
     hyperbolic = kernel = 0
     for trial in range(3000):
         tree = _random_forest(rng, rng.randint(1, 9))
-        m = tree.intersection_matrix()
+        m = intersection_matrix(tree)
         assert tree.determinant == det_bareiss(m), tree
         assert tree.definiteness is definiteness(m), tree
         seen.add(tree.definiteness)
@@ -692,7 +594,7 @@ def test_walk_against_union_find():
                 tree.determinant
         else:
             seen["tree" if components == 1 else "forest"] += 1
-            assert tree.determinant == det_bareiss(tree.intersection_matrix()), tree
+            assert tree.determinant == det_bareiss(intersection_matrix(tree)), tree
         for vid, w in tree.vertices:
             assert tree.weight(vid) == w
         with pytest.raises(KeyError):
@@ -703,7 +605,7 @@ def test_walk_against_union_find():
 def test_tree_form_on_plumbings():
     for n, r in ((1, Fraction(3)), (2, Fraction(7, 2)), (11, Fraction(-100, 37)), (3, Fraction(0))):
         tree = plumbing_presentation(n, r)
-        m = tree.intersection_matrix()
+        m = intersection_matrix(tree)
         assert (tree.determinant, tree.definiteness) == (det_bareiss(m), definiteness(m))
 
 
@@ -753,7 +655,7 @@ def test_negated_pairing_matches_the_dense_form():
         vertices = tuple((f"v{i}", rng.randint(-4, 4)) for i in range(size))
         edges = tuple((f"v{rng.randrange(i)}", f"v{i}") for i in range(1, size))
         tree = PlumbingTree(vertices, edges)
-        m = tree.intersection_matrix()
+        m = intersection_matrix(tree)
         x = [rng.randint(-3, 3) for _ in range(size)]
         y = [rng.randint(-3, 3) for _ in range(size)]
         dense = -sum(x[i] * m[i][j] * y[j] for i in range(size) for j in range(size))

@@ -2,12 +2,14 @@ import dataclasses
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from contactsurgery import certificate
 from contactsurgery.certificate import (
     CertificateFailure,
     donaldson_certificate,
@@ -17,6 +19,7 @@ from contactsurgery.homology import Definiteness, definiteness, det_bareiss
 from contactsurgery.kirby import PlumbingTree, plumbing_presentation
 from contactsurgery.lattice import (
     EmbeddingWitness,
+    d4_lemma,
     embed_bound,
     embed_in_diagonal,
     lambda_gram,
@@ -25,6 +28,7 @@ from oracles import (
     SublatticeWitness,
     contains_sublattice,
     fraction_short_vectors,
+    intersection_matrix,
     negate,
     seen_set_embed_in_diagonal,
     short_vectors,
@@ -162,7 +166,7 @@ def test_short_vectors_match_fraction_oracle():
 def test_short_vectors_match_fraction_oracle_on_plumbings():
     # the positive definite forms the certificate searches, at its norms
     for n, r in ((1, Fraction(2)), (1, Fraction(7, 2)), (2, Fraction(15, 2))):
-        form = plumbing_presentation(n, r).intersection_matrix()
+        form = intersection_matrix(plumbing_presentation(n, r))
         for t in (1, 2, 3):
             got = short_vectors(form, t)
             assert got == fraction_short_vectors(form, t)
@@ -294,6 +298,100 @@ def test_embed_witness_at_large_rank():
     assert w.vectors == tuple(v + (0,) * 4996 for v in small.vectors)
 
 
+# the D4 lemma
+
+
+def test_lambda_gram_d4_part():
+    # rows h1, c{n}, e2, k, a1, e1: the D4 is {c{n}, e2, k, e1} centered at
+    # e2, h1 touches only c{n} and a1 only k, whatever the long norms are
+    for a1, n in ((2, 1), (3, 2), (1001, 500)):
+        g = lambda_gram(a1, n)
+        center, leaves = 2, (1, 3, 5)
+        assert all(g[i][i] == -2 for i in (center, *leaves))
+        assert all(g[center][j] == 1 for j in leaves)
+        assert all(g[i][j] == 0 for i, j in itertools.combinations(leaves, 2))
+        assert [j for j in range(6) if j != 0 and g[0][j]] == [1]
+        assert [j for j in range(6) if j != 4 and g[4][j]] == [3]
+
+
+def _roots(m):
+    """The norm-2 vectors +-e_i +- e_j of Z^m."""
+    out = []
+    for i, j in itertools.combinations(range(m), 2):
+        for s, t in itertools.product((1, -1), repeat=2):
+            v = [0] * m
+            v[i], v[j] = s, t
+            out.append(tuple(v))
+    return out
+
+
+def _fraction_solve(rows, rhs):
+    """The x with rows . x = rhs for a square nonsingular system, in Fractions."""
+    k = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        for r in range(k):
+            if r != col and a[r][col]:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [a[i][k] / a[i][i] for i in range(k)]
+
+
+def _d4_copies(m, centers):
+    """(copies, h1 fits, a1 fits, both fit) over the labeled D4s in Z^m.
+
+    A copy is a center from centers and leaves c, k, e1 pairing -1 with
+    it and 0 with each other.  The parts of h1 (pairing -1 with c only)
+    and of a1 (with k only) on the copy's support solve a 4 x 4 system.
+    """
+    counts = [0, 0, 0, 0]
+    for center in centers:
+        leaves = [v for v in _roots(m) if sum(map(operator.mul, v, center)) == -1]
+        for c, k, e1 in itertools.permutations(leaves, 3):
+            if any(sum(map(operator.mul, x, y)) for x, y in ((c, k), (c, e1), (k, e1))):
+                continue
+            roots = (center, c, k, e1)
+            support = [i for i in range(m) if any(v[i] for v in roots)]
+            assert len(support) == 4, roots
+            rows = [[v[i] for i in support] for v in roots]
+            h1 = all(x.denominator == 1 for x in _fraction_solve(rows, [0, -1, 0, 0]))
+            a1 = all(x.denominator == 1 for x in _fraction_solve(rows, [0, 0, -1, 0]))
+            for i, hit in enumerate((True, h1, a1, h1 and a1)):
+                counts[i] += hit
+    return tuple(counts)
+
+
+def test_d4_lemma_against_an_independent_enumeration():
+    # with the center fixed in Z^6 (room beyond the 5 coordinates a copy can
+    # use), and over every center in Z^4: h1 or a1 fits, never both
+    assert _d4_copies(6, [(1, 1, 0, 0, 0, 0)]) == (288, 96, 96, 0)
+    assert _d4_copies(4, _roots(4)) == (1152, 384, 384, 0)
+    assert d4_lemma() is True
+
+
+def test_d4_lemma_against_the_embedding_search():
+    # the search exhausts one form at a time; a1, n <= 20 takes under a
+    # second, where a1, n <= 40 would take about 5 s
+    assert d4_lemma()
+    for a1 in range(2, 21):
+        for n in range(1, 21):
+            lam = lambda_gram(a1, n)
+            assert embed_in_diagonal(lam, embed_bound(lam)) is None, (a1, n)
+
+
+def test_lambda_without_either_long_vertex_embeds():
+    # the lemma needs both h1 and a1: dropping either leaves a form that embeds
+    for a1, n in ((2, 1), (5, 3), (9, 7)):
+        lam = lambda_gram(a1, n)
+        for drop in (0, 4):
+            keep = [i for i in range(6) if i != drop]
+            sub = [[lam[i][j] for j in keep] for i in keep]
+            w = embed_in_diagonal(sub, embed_bound(sub))
+            assert w is not None and w.verify(), (a1, n, drop)
+
+
 # sublattice search
 
 
@@ -321,7 +419,7 @@ def test_sublattice_rank_and_sign_guards():
 def test_obstruction_form_sits_in_the_plumbing():
     # rank 6 inside the negated rank-6 tree for r = 3: same lattice
     tree = plumbing_presentation(1, Fraction(3))
-    w = contains_sublattice(negate(tree.intersection_matrix()), lambda_gram(2, 1))
+    w = contains_sublattice(negate(intersection_matrix(tree)), lambda_gram(2, 1))
     assert w is not None and w.verify()
 
 
@@ -341,7 +439,7 @@ def test_sublattice_search_finds_the_obstruction_form_on_certify_slopes():
                 if size > {2: 17, 3: 14}.get(a1, 0):
                     continue
                 lam = lambda_gram(a1, n)
-                w = contains_sublattice(negate(tree.intersection_matrix()), lam)
+                w = contains_sublattice(negate(intersection_matrix(tree)), lam)
                 assert w is not None and w.verify(), (n, p, q)
                 written = SublatticeWitness(w.ambient, w.gram, lambda_witness(tree, n, lam))
                 assert written.verify(), (n, p, q)
@@ -356,7 +454,7 @@ def test_lambda_witness_is_six_signed_vertices():
     tree = plumbing_presentation(3, Fraction(41, 4))
     lam = lambda_gram(tree.weight("a1"), 3)
     vectors = lambda_witness(tree, 3, lam)
-    assert SublatticeWitness(negate(tree.intersection_matrix()), lam, vectors).verify()
+    assert SublatticeWitness(negate(intersection_matrix(tree)), lam, vectors).verify()
     ids = [vid for vid, _ in tree.vertices]
     support = [(ids[v.index(x)], x) for v in vectors for x in v if x]
     assert support == [("h1", 1), ("c3", -1), ("e2", 1), ("k", -1), ("a1", 1), ("e1", -1)]
@@ -433,7 +531,7 @@ def test_certificate_verify_rejects_tampering():
     vectors = [list(v) for v in cert.sublattice_vectors]
     vectors[0] = [-x for x in vectors[0]]  # flip the one nonzero entry
     flipped = tuple(map(tuple, vectors))
-    dense = SublatticeWitness(negate(cert.tree.intersection_matrix()), lambda_gram(2, 1), flipped)
+    dense = SublatticeWitness(negate(intersection_matrix(cert.tree)), lambda_gram(2, 1), flipped)
     assert not dense.verify()
     assert not dataclasses.replace(cert, sublattice_vectors=flipped).verify()
 
@@ -448,7 +546,7 @@ def test_certificate_verify_rejects_tampered_vectors(n, r):
     cert = donaldson_certificate(n, r)
     assert cert.verify()
     vs = cert.sublattice_vectors
-    dense = negate(cert.tree.intersection_matrix())
+    dense = negate(intersection_matrix(cert.tree))
     lam = lambda_gram(cert.a1, n)
     for i, v in enumerate(vs):
         for j in range(len(v)):
@@ -476,6 +574,16 @@ def test_certificate_verify_rejects_tampered_a1_and_weights(n, r):
                 tuple((u, w + step if u == vid else w) for u, w in tree.vertices), tree.edges
             )
             assert not dataclasses.replace(cert, tree=heavier).verify(), (vid, step)
+
+
+def test_certificate_needs_the_d4_lemma(monkeypatch):
+    cert = donaldson_certificate(1, Fraction(2))
+    assert cert.verify()
+    monkeypatch.setattr(certificate, "d4_lemma", lambda: False)
+    assert not cert.verify()
+    with pytest.raises(CertificateFailure) as err:
+        donaldson_certificate(1, Fraction(2))
+    assert err.value.part == "embedding"
 
 
 def test_certificate_failure_carries_part():

@@ -4,9 +4,10 @@ cfrac and homology are pure-arithmetic leaves, lattice sits on homology
 only, and the certificate is assembly that only the CLI and the package
 root pull in.  The CLI and the certificate run no elimination of their
 own: they read a plumbing's determinant and definiteness off the tree.
-Nor does the certificate search for its copy of the obstruction form:
-it writes it down and pairs it on the tree, never through a dense
-intersection matrix.  No module imports another's underscore names.
+Nor does the certificate search: it writes its copy of the obstruction
+form down and pairs it on the tree, never through a dense intersection
+matrix, and proves nonexistence by a lemma, not by the embedding search.
+No module imports another's underscore names.
 """
 
 import ast
@@ -81,14 +82,18 @@ def test_cli_and_certificate_run_no_elimination():
 
 
 def test_certificate_runs_no_sublattice_search():
-    # the obstruction form's copy is written down; no search may return
+    # the obstruction form's copy is written down and its nonexistence in
+    # a diagonal lattice is lattice.d4_lemma; no search may return
     names = imported_names(PACKAGE / "certificate.py")
     assert not names & {"contains_sublattice", "short_vectors", "_lex_vectors"}
+    assert "embed_in_diagonal" not in (PACKAGE / "certificate.py").read_text()
 
 
 def test_certificate_builds_no_dense_plumbing_form():
-    # the six vectors are paired on the tree, in O(V + E) per pair
-    assert "intersection_matrix" not in (PACKAGE / "certificate.py").read_text()
+    # the six vectors are paired on the tree, in O(V + E) per pair, and the
+    # dense form of a plumbing is a test oracle (tests/oracles.py)
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert "intersection_matrix" not in path.read_text(), path.stem
 
 
 def test_kirby_keeps_no_test_only_determinant():
