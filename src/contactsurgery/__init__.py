@@ -54,7 +54,6 @@ from .kirby import (
     blow_up,
     handle_slide,
     moser_seifert,
-    plumbing_move_sequence,
     plumbing_presentation,
     rational_to_integer,
     rolfsen_twist,

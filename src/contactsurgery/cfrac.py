@@ -12,7 +12,6 @@ Legendrian realizations of negative contact surgeries.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,19 +44,21 @@ def neg_cf_expand(x: Fraction | int) -> NegCF:
     Each step takes the ceiling and recurses on 1/(ceil(x) - x); since
     0 < ceil(x) - x < 1 at every step where the remainder is nonzero,
     every term from the second on is >= 2, and x > 1 forces the first
-    term >= 2 as well.  Denominators strictly decrease, so this always
+    term >= 2 as well.  On x = p/q in lowest terms a step is Euclid on
+    the integers: a = ceil(p/q), then p/q becomes q/(a q - p), again in
+    lowest terms.  Denominators strictly decrease, so this always
     terminates.
     """
     x = Fraction(x)
     if x <= 1:
         raise ValueError(f"need x > 1, got {x}")
+    p, q = x.numerator, x.denominator
     terms: list[int] = []
-    while True:
-        a = math.ceil(x)
+    while q:
+        a = -(-p // q)
         terms.append(a)
-        if x == a:
-            return NegCF(tuple(terms))
-        x = 1 / (a - x)
+        p, q = q, a * q - p
+    return NegCF(tuple(terms))
 
 
 def neg_cf_length(x: Fraction | int) -> int:

@@ -322,17 +322,38 @@ class PlusMinusPresentation:
     members: tuple[Member, ...]
 
     def linking_matrix(self) -> Matrix:
+        """Smooth framings on the diagonal, linking numbers off it.
+
+        Built row by row from the members grouped by source.  A source's
+        rows start from one template holding its linking with the other
+        sources, each looked up once; the entries of its own members are
+        the earlier members' tb, then the member's framing, then its own
+        tb once for each later member, written as one slice when the
+        source's members are contiguous.
+        """
         n = len(self.members)
-        m = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.members):
-            m[i][i] = a.smooth_framing
-            for j in range(i + 1, n):
-                b = self.members[j]
-                if a.source == b.source:
-                    lk = a.tb  # pushoff chain: earlier member's framing
+        blocks: dict[int, list[int]] = {}
+        for i, mem in enumerate(self.members):
+            blocks.setdefault(mem.source, []).append(i)
+        m: Matrix = [[]] * n  # every row is replaced below
+        for a, own in blocks.items():
+            template = [0] * n
+            for b, other in blocks.items():
+                if b != a and (lk := self.diagram.linking_between(a, b)):
+                    for j in other:
+                        template[j] = lk
+            tbs = [self.members[i].tb for i in own]
+            first, stop = own[0], own[-1] + 1
+            contiguous = stop - first == len(own)
+            for t, i in enumerate(own):
+                row = template.copy()
+                block = tbs[:t] + [self.members[i].smooth_framing] + [tbs[t]] * (len(own) - t - 1)
+                if contiguous:
+                    row[first:stop] = block
                 else:
-                    lk = self.diagram.linking_between(a.source, b.source)
-                m[i][j] = m[j][i] = lk
+                    for j, v in zip(own, block):
+                        row[j] = v
+                m[i] = row
         return m
 
     def count_structures(self) -> int:

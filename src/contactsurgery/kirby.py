@@ -20,15 +20,18 @@ place; blow_up, blow_down and rolfsen_twist share its twist loop.  The
 public functions copy a GraphDiagram, move the copy and build a new one.
 
 Every move preserves the order of the first homology of the surgered
-manifold.  The plumbing pipeline checks that order at its end: the
-tree's determinant must equal the numerator of the surgery slope up to
-sign.
+manifold.
 
-The pipeline at the bottom converts r-surgery on the (2n+1, 2) torus
-knot, r < 4n, into a plumbing of disk bundles along a three-legged
-tree; for r in [2n-1, 4n) the resulting intersection form is positive
-definite, which is what the lattice obstruction consumes.  It edits one
-working diagram and builds GraphDiagrams only at its labeled states.
+plumbing_presentation at the bottom gives r-surgery on the (2n+1, 2)
+torus knot, r < 4n, as a plumbing of disk bundles along a three-legged
+tree; for r in [2n-1, 4n) its intersection form is positive definite,
+which is what the lattice obstruction consumes.  The moves above turn
+the one diagram into the other, and they always end in the same star,
+so the tree is written down in closed form; the move sequence itself
+is kept as a test oracle that the closed form must match.  The tree
+checks itself: its determinant must equal the numerator of the surgery
+slope up to sign.
+
 A PlumbingTree indexes its graph once and reads its form leaf first,
 along one cached walk that also answers is_tree; it pairs vectors in its
 negated form from the same index, without a dense matrix.
@@ -53,7 +56,7 @@ class MoveError(ValueError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """A pipeline produced a state violating one of its own invariants."""
+    """A construction produced a result violating one of its own invariants."""
 
 
 _ID_RE = re.compile(r"[A-Za-z0-9_.-]+")
@@ -560,31 +563,42 @@ class PlumbingTree:
         return total
 
 
-# The rewriting's ~3n moves each edit a few components of one working
-# diagram, and only its 8 labeled states are built, so its time grows
-# about linearly in n: n = 100 takes about 12 ms and n = 500 about 55 ms
-# on a 2-vCPU x86 VM under Python 3.11.
+# The tree is written down in closed form, in time linear in its vertex
+# count, so n no longer bounds any work: the budget stays as the bound on
+# the input n, past which the CLI answers with a one-line error.
 PLUMBING_N_BUDGET = 500
 
 # The tree has 4 + len(negative continued fraction of (r-4n-2)/(r-4n-1))
 # vertices, a count that grows with the slope's denominator, not with n:
-# 20001/10000 at n = 1 gives 10,005.  Euclid counts them before any move.
-# At 20,000 vertices fillable --certify --json takes about 0.6 s at n = 1
-# or n = 500, and 40 MB (2-vCPU x86 VM, Python 3.11).
+# 20001/10000 at n = 1 gives 10,005.  Euclid counts them before the leg
+# is expanded.  At 20,000 vertices fillable --certify --json takes about
+# 0.3 s at n = 1 or n = 500, and 36 MB (2-vCPU x86 VM, Python 3.11.7).
 PLUMBING_VERTEX_BUDGET = 20_000
 
 
-def plumbing_move_sequence(
-    n: int, r: Fraction
-) -> list[tuple[str, GraphDiagram]]:
-    """Rewrite r-surgery on the (2n+1, 2) torus knot into a plumbing.
+def plumbing_presentation(n: int, r: Fraction) -> PlumbingTree:
+    """The plumbing tree bounding r-surgery on the (2n+1, 2) torus knot.
 
-    Returns the labeled intermediate diagrams; the last one is integral.
     Valid for any rational r < 4n (at 4n and above a different, fillable
-    recipe applies and this rewriting would leave the integral range).
-    An n above PLUMBING_N_BUDGET, or a tree of more than
-    PLUMBING_VERTEX_BUDGET vertices, is refused with a ValueError before
-    any move.
+    recipe applies).  The Kirby calculus -- one band blowup per full
+    twist, ring slides, two clasp blowups, slam dunks, an arm slide,
+    three Rolfsen twists and two inverse dunks -- always ends in the
+    same three-legged star, written down here directly:
+
+      * the center e2 of weight 2;
+      * a leg e1 of weight 2;
+      * a leg c{n}, h1 of weights 2 and n + 1;
+      * a leg k, a1, a2, ... whose weights are the negative continued
+        fraction of (r - 4n - 2)/(r - 4n - 1), which lies in (1, 2), so
+        the leg has at least the two vertices k and a1.
+
+    The vertices come in the order k, c{n}, e1, e2, h1, a1, a2, ... and
+    the edges in that order of their first end.  An n below 1 or above
+    PLUMBING_N_BUDGET, r >= 4n, or a tree of more than
+    PLUMBING_VERTEX_BUDGET vertices is refused with a ValueError before
+    the tree is built.  The tree must then be a tree, carry the right
+    homology, and be positive definite whenever r lies in [2n-1, 4n),
+    else InternalConsistencyError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -593,64 +607,18 @@ def plumbing_move_sequence(
     r = Fraction(r)
     if r >= 4 * n:
         raise ValueError("the plumbing rewriting needs r < 4n")
-    size = 4 + neg_cf_length((r - 4 * n - 2) / (r - 4 * n - 1))
+    x = (r - 4 * n - 2) / (r - 4 * n - 1)
+    size = 4 + neg_cf_length(x)
     if size > PLUMBING_VERTEX_BUDGET:
         raise ValueError(
             f"the plumbing would have {size} vertices; the budget is {PLUMBING_VERTEX_BUDGET}"
         )
-    states = [("start", GraphDiagram((Component("k", r, torus=(2 * n + 1, 2)),)))]
-    w = _Diagram(states[0][1])
-    # one blowup per full twist of the band; k unknots at the end
-    ring = [w.blow_up({"k": 2}, -1, f"c{i + 1}") for i in range(n)]
-    states.append(("band-blowups", w.build()))
-    # chain the ring circles together and off the band
-    for i in range(n - 1):
-        w.handle_slide(ring[i], ring[i + 1], -1)
-    head, tail = ring[-1], ring[:-1]
-    states.append(("ring-slides", w.build()))
-    e1 = w.blow_up({"k": 1, head: 1}, -1, "e1")
-    e2 = w.blow_up({"k": 1, head: 1}, -1, "e2")
-    states.append(("clasp-blowups", w.build()))
-    for cid in tail:  # absorb the chain, far end first
-        w.slam_dunk(cid)
-    if w.comps[head].coeff != Fraction(-(2 * n + 1), n):
-        raise InternalConsistencyError("chain absorption gave the wrong head")
-    states.append(("dunked", w.build()))
-    w.handle_slide(e1, e2, -1)
-    states.append(("arm-slide", w.build()))
-    for cid in (head, "k", e1):
-        w.rolfsen_twist(cid, 1)
-    for cid, want in ((e1, Fraction(2)), (e2, Fraction(2)),
-                      (head, Fraction(2 * n + 1, n + 1))):
-        if w.comps[cid].coeff != want:
-            raise InternalConsistencyError(f"twist left {cid} at {w.comps[cid].coeff}")
-    states.append(("twists", w.build()))
-    w.rational_to_integer(head, "h")
-    w.rational_to_integer("k", "a")
-    states.append(("integral", w.build()))
-    return states
-
-
-def plumbing_presentation(n: int, r: Fraction) -> PlumbingTree:
-    """The plumbing tree bounding r-surgery on the (2n+1, 2) torus knot.
-
-    The budgets of plumbing_move_sequence refuse it before any move.
-    Checks its own output: the tree must be a tree, carry the right
-    homology, and be positive definite whenever r lies in [2n-1, 4n).
-    """
-    r = Fraction(r)
-    label, d = plumbing_move_sequence(n, r)[-1]
-    if label != "integral":
-        raise InternalConsistencyError(f"the move sequence ended at {label!r}")
-    for comp in d.components:
-        if not comp.is_integral or comp.torus is not None:
-            raise InternalConsistencyError(f"nonintegral end state at {comp.cid}")
-    for a, b, v in d.linking:
-        if v != 1:
-            raise InternalConsistencyError(f"non-plumbing linking {v} on ({a}, {b})")
+    leg = neg_cf_expand(x).terms
+    head, tail = f"c{n}", [f"a{i}" for i in range(1, len(leg))]
     tree = PlumbingTree(
-        tuple((c.cid, int(c.coeff)) for c in d.components),
-        tuple((a, b) for a, b, _ in d.linking),
+        (("k", leg[0]), (head, 2), ("e1", 2), ("e2", 2), ("h1", n + 1), *zip(tail, leg[1:])),
+        (("k", "e2"), ("k", "a1"), (head, "e2"), (head, "h1"), ("e1", "e2"),
+         *zip(tail, tail[1:])),
     )
     if not tree.is_tree():
         raise InternalConsistencyError("end state is not a tree")

@@ -8,6 +8,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
+from contactsurgery.contact import PlusMinusPresentation
 from contactsurgery.floer import DerivationChain, DerivationStep, SlopeKnowledge
 from contactsurgery.homology import (
     Definiteness,
@@ -473,10 +474,11 @@ def bfs_lspace_propagate(kb: SlopeKnowledge, query: Fraction) -> Optional[Deriva
 def copying_plumbing_move_sequence(
     n: int, r: Fraction
 ) -> list[tuple[str, GraphDiagram]]:
-    """kirby.plumbing_move_sequence as the six public moves chained on
-    GraphDiagrams, each move copying and re-validating the whole diagram.
-    The pipeline edits one working diagram in place instead; its labeled
-    states must equal these."""
+    """The Kirby calculus behind kirby.plumbing_presentation, as the six
+    public moves chained on GraphDiagrams, each move copying and
+    re-validating the whole diagram; returns the labeled states.
+    plumbing_presentation writes the last, integral, state down in
+    closed form, and must equal move_sequence_tree(n, r)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > PLUMBING_N_BUDGET:
@@ -519,3 +521,47 @@ def copying_plumbing_move_sequence(
     d, _ = rational_to_integer(d, "k", prefix="a")
     states.append(("integral", d))
     return states
+
+
+def move_sequence_tree(n: int, r: Fraction) -> PlumbingTree:
+    """The plumbing read off the integral end state of the move sequence."""
+    label, d = copying_plumbing_move_sequence(n, r)[-1]
+    assert label == "integral"
+    assert all(c.is_integral and c.torus is None for c in d.components)
+    assert all(v == 1 for _, _, v in d.linking)
+    return PlumbingTree(
+        tuple((c.cid, int(c.coeff)) for c in d.components),
+        tuple((a, b) for a, b, _ in d.linking),
+    )
+
+
+def fraction_neg_cf_expand(x: Fraction) -> tuple[int, ...]:
+    """The terms of cfrac.neg_cf_expand by Fraction arithmetic: take the
+    ceiling, recurse on 1/(ceil(x) - x)."""
+    x = Fraction(x)
+    assert x > 1
+    terms = []
+    while True:
+        a = math.ceil(x)
+        terms.append(a)
+        if x == a:
+            return tuple(terms)
+        x = 1 / (a - x)
+
+
+def dense_linking_matrix(pres: PlusMinusPresentation) -> Matrix:
+    """PlusMinusPresentation.linking_matrix entry by entry: framings on the
+    diagonal, the earlier member's tb between two members of one source,
+    their sources' linking number otherwise."""
+    n = len(pres.members)
+    m = [[0] * n for _ in range(n)]
+    for i, a in enumerate(pres.members):
+        m[i][i] = a.smooth_framing
+        for j in range(i + 1, n):
+            b = pres.members[j]
+            if a.source == b.source:
+                lk = a.tb
+            else:
+                lk = pres.diagram.linking_between(a.source, b.source)
+            m[i][j] = m[j][i] = lk
+    return m

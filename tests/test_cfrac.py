@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from contactsurgery.cfrac import (
     NegCF,
@@ -11,6 +11,8 @@ from contactsurgery.cfrac import (
     neg_cf_value,
     parse_rational,
 )
+
+from oracles import fraction_neg_cf_expand
 
 
 # Hand-checked expansions.  7/5 = 2 - 1/(2 - 1/3) = 2 - 3/5.
@@ -95,6 +97,21 @@ def test_length_without_expanding():
     assert neg_cf_length(Fraction(10**12 + 1, 10**12)) == 10**12
     with pytest.raises(ValueError):
         neg_cf_length(Fraction(1))
+
+
+# p/q > 1 with p - q and q up to 10^40, kept to expansions of at most
+# 10,000 terms, since (q + 1)/q alone has q
+big_rationals_gt_one = (
+    st.tuples(st.integers(1, 10**40), st.integers(1, 10**40))
+    .map(lambda t: Fraction(t[0] + t[1], t[1]))
+    .filter(lambda x: neg_cf_length(x) <= 10_000)
+)
+
+
+@settings(derandomize=True)
+@given(big_rationals_gt_one)
+def test_integer_euclid_against_fraction_loop(x):
+    assert neg_cf_expand(x).terms == fraction_neg_cf_expand(x)
 
 
 @given(st.lists(st.integers(min_value=2, max_value=9), min_size=1, max_size=8))

@@ -39,6 +39,8 @@ from contactsurgery.contact import (
 )
 from contactsurgery.homology import det_bareiss, h1_from_linking
 
+from oracles import dense_linking_matrix
+
 
 def test_torus_knot_table():
     t = torus_knot(3, 2)
@@ -457,6 +459,30 @@ def test_first_homology_against_dense_oracle():
         free += h.free_rank > 0
     assert sources == {1, 2, 3}
     assert free >= 20
+
+
+def test_linking_matrix_against_dense_oracle():
+    rng = random.Random(1915)
+    # the nine-member three-source diagram on which the dense Smith form stalled
+    stall = translate(ContactDiagram(
+        (ContactComponent(LegendrianKnot(unknot(), -2, 0), Fraction(-8, 3)),
+         ContactComponent(LegendrianKnot(twist_knot(-2), 1, 0), Fraction(-1, 2)),
+         ContactComponent(LegendrianKnot(torus_knot(3, 2), 1, 0), Fraction(5))),
+        ((0, 1, 3), (0, 2, 3), (1, 2, -3)),
+    ))
+    cases = [stall, translate(witness_diagram(3)), translate_single(torus_knot(3, 2), Fraction(1, 7))]
+    cases += [translate(_random_diagram(rng, rng.randint(1, 3), 12, 6)) for _ in range(150)]
+    interleaved = 0
+    for pres in cases[:]:  # the same members, sources interleaved
+        members = list(pres.members)
+        rng.shuffle(members)
+        cases.append(PlusMinusPresentation(pres.diagram, tuple(members)))
+        changes = sum(1 for a, b in zip(members, members[1:]) if a.source != b.source)
+        interleaved += changes >= len({m.source for m in members})
+    assert interleaved >= 50
+    for pres in cases:
+        assert pres.linking_matrix() == dense_linking_matrix(pres)
+    assert len({m.source for m in stall.members}) == 3 and len(stall.members) == 9
 
 
 def test_first_homology_against_sympy():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from contactsurgery import kirby
-from contactsurgery.cfrac import neg_cf_length
+from contactsurgery.cfrac import NegCF, neg_cf_length
 from contactsurgery.homology import Definiteness, definiteness, det_bareiss
 from contactsurgery.kirby import (
     PLUMBING_N_BUDGET,
@@ -23,7 +23,6 @@ from contactsurgery.kirby import (
     moser_seifert,
     parse_graph_diagram,
     parse_plumbing_tree,
-    plumbing_move_sequence,
     plumbing_presentation,
     rational_to_integer,
     rolfsen_twist,
@@ -35,6 +34,7 @@ from oracles import (
     generalized_linking_matrix,
     homology_magnitude,
     intersection_matrix,
+    move_sequence_tree,
     union_find_components,
 )
 
@@ -376,7 +376,7 @@ def test_plumbing_exceptional_forms():
 
 
 def test_plumbing_sequence_labels():
-    states = plumbing_move_sequence(3, Fraction(23, 4))
+    states = copying_plumbing_move_sequence(3, Fraction(23, 4))
     labels = [lbl for lbl, _ in states]
     assert labels == [
         "start",
@@ -401,31 +401,23 @@ def test_plumbing_sequence_labels():
     assert homology_magnitude(final) == 23
 
 
-def test_pipeline_against_copying_oracle():
+def test_closed_form_against_the_move_sequence():
     # below, at and inside [2n - 1, 4n): negative, integral and fractional
+    pairs = set()
     for n in range(1, 9):
         lo, hi = 2 * n - 1, 4 * n
-        slopes = [Fraction(-3), Fraction(-7, 3), Fraction(0), Fraction(1, 2),
-                  Fraction(lo) - Fraction(1, 5), Fraction(lo), Fraction(3 * lo + 1, 3),
-                  Fraction(hi - 1), Fraction(7 * hi - 1, 7)]
-        for r in slopes:
-            assert plumbing_move_sequence(n, r) == copying_plumbing_move_sequence(n, r)
-
-
-def test_pipeline_builds_only_labeled_states(monkeypatch):
-    built = []
-    post_init = GraphDiagram.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(GraphDiagram, "__post_init__", counting)
-    for n in (1, 5, 30):
-        built.clear()
-        states = plumbing_move_sequence(n, Fraction(4 * n - 1))
-        assert len(built) == 8
-        assert [d for _, d in states] == built
+        pairs.update((n, r) for r in (
+            Fraction(-3), Fraction(-7, 3), Fraction(0), Fraction(1, 2),
+            Fraction(lo) - Fraction(1, 5), Fraction(lo), Fraction(3 * lo + 1, 3),
+            Fraction(hi - 1), Fraction(7 * hi - 1, 7)))
+    # and every slope p/q in [-3, 4n) with q <= 5, for n <= 6
+    pairs.update(
+        (n, Fraction(p, q))
+        for n in range(1, 7) for q in range(1, 6) for p in range(-3 * q, 4 * n * q)
+    )
+    assert len(pairs) > 1000
+    for n, r in sorted(pairs):
+        assert plumbing_presentation(n, r) == move_sequence_tree(n, r), (n, r)
 
 
 def test_failed_move_leaves_working_diagram_unchanged():
@@ -620,8 +612,27 @@ def test_tree_form_needs_a_forest():
 
 
 def test_plumbing_budget():
-    with pytest.raises(ValueError, match="budget"):
-        plumbing_move_sequence(PLUMBING_N_BUDGET + 1, Fraction(2))
+    # each refusal keeps its message, and the move sequence words its own alike
+    refusals = [
+        (0, Fraction(1), "n must be >= 1"),
+        (-2, Fraction(1), "n must be >= 1"),
+        (PLUMBING_N_BUDGET + 1, Fraction(2),
+         f"n = {PLUMBING_N_BUDGET + 1} is over the plumbing budget of {PLUMBING_N_BUDGET}"),
+        (1, Fraction(4), "the plumbing rewriting needs r < 4n"),
+        (3, Fraction(25, 2), "the plumbing rewriting needs r < 4n"),
+    ]
+    for n, r, message in refusals:
+        for construction in (plumbing_presentation, copying_plumbing_move_sequence):
+            with pytest.raises(ValueError) as info:
+                construction(n, r)
+            assert str(info.value) == message
+    q = PLUMBING_VERTEX_BUDGET - 4  # (2q + 1)/q at n = 1 has q + 5 vertices
+    with pytest.raises(ValueError) as info:
+        plumbing_presentation(1, Fraction(2 * q + 1, q))
+    assert str(info.value) == (
+        f"the plumbing would have {PLUMBING_VERTEX_BUDGET + 1} vertices; "
+        f"the budget is {PLUMBING_VERTEX_BUDGET}"
+    )
 
 
 def test_plumbing_vertex_count_is_known_before_any_move():
@@ -640,10 +651,11 @@ def test_plumbing_vertex_budget(monkeypatch):
     q = PLUMBING_VERTEX_BUDGET - 5
     assert len(plumbing_presentation(1, Fraction(2 * q + 1, q)).vertices) == PLUMBING_VERTEX_BUDGET
 
-    def no_moves(*args):
-        raise AssertionError("a diagram was built over the budget")
+    def not_over_budget(*args):
+        raise AssertionError("the leg was expanded or a tree built over the budget")
 
-    monkeypatch.setattr(kirby, "GraphDiagram", no_moves)
+    monkeypatch.setattr(kirby, "neg_cf_expand", not_over_budget)
+    monkeypatch.setattr(kirby, "PlumbingTree", not_over_budget)
     with pytest.raises(ValueError, match="budget"):
         plumbing_presentation(1, Fraction(2 * q + 3, q + 1))
 
@@ -667,8 +679,9 @@ def test_negated_pairing_matches_the_dense_form():
 
 
 def test_plumbing_self_check_survives_optimize(monkeypatch):
-    # the check is a raise, not an assert, so python -O keeps it
-    states = plumbing_move_sequence(1, Fraction(3))
-    monkeypatch.setattr(kirby, "plumbing_move_sequence", lambda n, r: states[:-1])
-    with pytest.raises(InternalConsistencyError, match="twists"):
+    # the check is a raise, not an assert, so python -O keeps it: a leg
+    # one vertex too long changes the determinant
+    assert plumbing_presentation(1, Fraction(3)).determinant == 3
+    monkeypatch.setattr(kirby, "neg_cf_expand", lambda x: NegCF((2, 2, 2)))
+    with pytest.raises(InternalConsistencyError, match="homology magnitude lost"):
         plumbing_presentation(1, Fraction(3))
