@@ -1,9 +1,11 @@
 """Exact arithmetic for contact surgery diagrams on three-manifolds.
 
 The package turns rational contact surgery presentations into smooth
-surgery data, pushes that data through a blow-up / blow-down calculus
-until it becomes a positive definite plumbing, and then interrogates the
-resulting intersection lattice for embedding obstructions.  A small
+surgery data, writes the positive definite plumbing that bounds a
+surgery on a two-strand torus knot down in closed form (the star the
+Kirby calculus ends in; the move engine that derives it is a test
+oracle), and then interrogates the resulting intersection lattice for
+embedding obstructions.  A small
 Heegaard Floer bookkeeping layer tracks which surgery slopes are known
 to give manifolds with minimal-rank Floer homology.
 
@@ -46,18 +48,10 @@ from .contact import (
     witness_nonisomorphic,
 )
 from .kirby import (
-    Component,
-    GraphDiagram,
     PlumbingTree,
     SeifertClassification,
-    blow_down,
-    blow_up,
-    handle_slide,
     moser_seifert,
     plumbing_presentation,
-    rational_to_integer,
-    rolfsen_twist,
-    slam_dunk,
 )
 from .floer import (
     DerivationChain,

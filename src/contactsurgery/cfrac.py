@@ -5,9 +5,9 @@ A rational x > 1 has a unique expansion
     x = a0 - 1/(a1 - 1/(a2 - ... - 1/ak))
 
 with every ai >= 2.  These expansions drive two things elsewhere in the
-package: converting a rationally framed surgery curve into a chain of
-integrally framed curves, and reading off stabilization budgets for
-Legendrian realizations of negative contact surgeries.
+package: the weights of the long leg of a plumbing star, and the
+stabilization budgets of Legendrian realizations of negative contact
+surgeries.
 """
 
 from __future__ import annotations

@@ -36,8 +36,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-from .cfrac import NegCF, format_rational, neg_cf_expand, neg_cf_length, parse_rational
-from .homology import CyclicDecomposition, Matrix, content_lines, h1_from_linking, order_in_cyclic
+from .cfrac import NegCF, format_rational, neg_cf_expand, neg_cf_length
+from .homology import CyclicDecomposition, Matrix, h1_from_linking, order_in_cyclic
 
 
 class UnsupportedKnotError(ValueError):
@@ -756,48 +756,3 @@ def fillability_verdict(n: int, r: Fraction) -> FillabilityVerdict:
     return FillabilityVerdict(
         Fillability.STEIN_FILLABLE, n, r, (lo, hi), recipe_coefficients=coeffs
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def format_contact_diagram(d: ContactDiagram) -> str:
-    """One 'knot-id tb rot coeff parent-index' line per component, then
-    'lk i j v' lines for the explicit linking entries."""
-    lines = []
-    for comp in d.components:
-        parent = -1 if comp.parent is None else comp.parent
-        lines.append(
-            f"{comp.leg.knot.name} {comp.leg.tb} {comp.leg.rot} "
-            f"{format_rational(comp.coeff)} {parent}"
-        )
-    for i, j, lk in d.linking:
-        lines.append(f"lk {i} {j} {lk}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_contact_diagram(text: str) -> ContactDiagram:
-    components: list[ContactComponent] = []
-    linking: list[tuple[int, int, int]] = []
-    for line in content_lines(text):
-        toks = line.split()
-        if toks[0] == "lk":
-            if len(toks) != 4:
-                raise ValueError(f"bad linking line {line!r}")
-            linking.append((int(toks[1]), int(toks[2]), int(toks[3])))
-            continue
-        if len(toks) != 5:
-            raise ValueError(f"bad component line {line!r}")
-        knot = parse_knot(toks[0])
-        tb, rot = int(toks[1]), int(toks[2])
-        coeff = parse_rational(toks[3])
-        parent = int(toks[4])
-        components.append(
-            ContactComponent(
-                LegendrianKnot(knot, tb, rot),
-                coeff,
-                None if parent < 0 else parent,
-            )
-        )
-    return ContactDiagram(tuple(components), tuple(linking))

@@ -214,14 +214,24 @@ class CyclicDecomposition:
         return out
 
 
+# The Smith form's transforms grow with the matrix: on seeded random
+# symmetric matrices with entries in [-9, 9], h1_from_linking takes 0.04 s
+# at 32 rows, 0.25 s at 48 and 1.3-1.4 s at 64, and 120 rows gave no answer
+# in 60 s (2-vCPU x86 VM, Python 3.11.7).  Entry size is not bounded.
+H1_ROW_BUDGET = 64
+
+
 def h1_from_linking(a: Matrix) -> CyclicDecomposition:
     """Cokernel of a square integer matrix, with meridian images.
 
     If D = U A V then coker(A) = coker(D) via the basis change U on the
     target: the class of the i-th standard generator has coordinates
-    given by column i of U, read against the diagonal of D.
+    given by column i of U, read against the diagonal of D.  A matrix of
+    more than H1_ROW_BUDGET rows is refused before any elimination.
     """
     n = len(a)
+    if n > H1_ROW_BUDGET:
+        raise ValueError(f"the linking matrix has {n} rows; the budget is {H1_ROW_BUDGET}")
     if any(len(row) != n for row in a):
         raise ValueError("linking matrix must be square")
     snf = smith_normal_form(a)
@@ -273,15 +283,10 @@ def format_matrix(a: Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def content_lines(text: str) -> list[str]:
-    """The stripped lines of a text format, without blanks and '#' comment lines."""
-    lines = (raw.strip() for raw in text.splitlines())
-    return [line for line in lines if line and not line.startswith("#")]
-
-
 def parse_matrix(text: str) -> Matrix:
     """Read format_matrix output; blank lines and '#' comment lines are skipped."""
-    toks = [tok for line in content_lines(text) for tok in line.split()]
+    lines = (raw.strip() for raw in text.splitlines())
+    toks = [tok for line in lines if not line.startswith("#") for tok in line.split()]
     if len(toks) < 2:
         raise ValueError("matrix file needs a 'rows cols' header")
     rows, cols = int(toks[0]), int(toks[1])

@@ -19,19 +19,17 @@ from contactsurgery.homology import (
     smith_normal_form,
     symmetric_size,
 )
-from contactsurgery.kirby import (
-    PLUMBING_N_BUDGET,
+from contactsurgery.kirby import PLUMBING_N_BUDGET, InternalConsistencyError, PlumbingTree
+from contactsurgery.lattice import EmbeddingWitness
+from kirby_moves import (
     Component,
     GraphDiagram,
-    InternalConsistencyError,
-    PlumbingTree,
     blow_up,
     handle_slide,
     rational_to_integer,
     rolfsen_twist,
     slam_dunk,
 )
-from contactsurgery.lattice import EmbeddingWitness
 
 
 def mat_mul(a, b):

@@ -28,16 +28,16 @@ from contactsurgery.floer import (
     verify_chain,
 )
 from contactsurgery.homology import Definiteness, definiteness, det_bareiss
-from contactsurgery.kirby import (
+from contactsurgery.kirby import plumbing_presentation
+from contactsurgery.lattice import embed_bound, embed_in_diagonal, lambda_gram
+from kirby_moves import (
     Component,
     GraphDiagram,
     blow_up,
     handle_slide,
-    plumbing_presentation,
     rational_to_integer,
     rolfsen_twist,
 )
-from contactsurgery.lattice import embed_bound, embed_in_diagonal, lambda_gram
 from oracles import (
     SublatticeWitness,
     check_snf,

@@ -133,7 +133,8 @@ def test_lattice_embed_bound_does_not_scale_with_m(capsys):
     assert out.strip() == "no embedding (bound m=5000)"
 
 
-A3 = str(Path(__file__).parent / "golden" / "a3.mat")
+GOLDEN = Path(__file__).parent / "golden"
+A3 = str(GOLDEN / "a3.mat")
 
 
 def test_lattice_embed_at_rank_budget(capsys):
@@ -333,6 +334,13 @@ def test_large_a1_certificate_needs_no_search():
     cert = payload["certificate"]
     assert cert["a1"] == 1001
     assert cert["embedding"] == {"bound": 1510, "exists": False}
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_homology_over_row_budget(json_flag):
+    # a dense 120 x 120 matrix gave no answer in 60 s; 65 rows are refused
+    # before the Smith form starts
+    assert_over_budget("homology", "--matrix", str(GOLDEN / "diag65.mat"), *json_flag)
 
 
 @pytest.mark.parametrize("command", [("plumbing",), ("fillable", "--certify")])

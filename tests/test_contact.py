@@ -21,10 +21,8 @@ from contactsurgery.contact import (
     c1_coefficient,
     custom_knot,
     fillability_verdict,
-    format_contact_diagram,
     max_tb_legendrian,
     negative_surgery_to_legendrian,
-    parse_contact_diagram,
     parse_knot,
     smooth_coefficient,
     split_positive_surgery,
@@ -372,10 +370,7 @@ def test_fillability_verdicts():
         fillability_verdict(0, Fraction(1))
 
 
-def test_diagram_serialization_round_trip():
-    d = witness_diagram(3)
-    text = format_contact_diagram(d)
-    assert parse_contact_diagram(text) == d
+def test_diagram_validation():
     pushoff = ContactDiagram(
         (
             ContactComponent(max_tb_legendrian(torus_knot(3, 2)), Fraction(1)),
@@ -384,15 +379,7 @@ def test_diagram_serialization_round_trip():
             ),
         )
     )
-    text = format_contact_diagram(pushoff)
-    back = parse_contact_diagram(text)
-    assert back == pushoff
-    assert back.linking_between(0, 1) == 1  # parent link carries tb
-    with pytest.raises(ValueError):
-        parse_contact_diagram("unknot -1 0\n")
-
-
-def test_diagram_validation():
+    assert pushoff.linking_between(0, 1) == 1  # parent link carries tb
     u = ContactComponent(LegendrianKnot(unknot(), -1, 0), Fraction(-2))
     with pytest.raises(ValueError):
         ContactDiagram((u,), linking=((0, 0, 1),))

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contactsurgery import homology
 from contactsurgery.homology import (
+    H1_ROW_BUDGET,
     CyclicDecomposition,
     Definiteness,
     bareiss,
@@ -319,6 +321,23 @@ def test_matrix_round_trip():
 def test_matrix_comments_and_blank_lines():
     text = "# linking matrix of contact +2 on the trefoil\n\n2 2\n  # rows follow\n2 1\n\n1 -1\n"
     assert parse_matrix(text) == [[2, 1], [1, -1]]
+
+
+def test_h1_row_budget(monkeypatch):
+    def diagonal(n):
+        return [[3 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    assert h1_from_linking(diagonal(H1_ROW_BUDGET)).orders == (3,) * H1_ROW_BUDGET
+
+    def no_elimination(a):
+        raise AssertionError("eliminated a matrix over the row budget")
+
+    monkeypatch.setattr(homology, "smith_normal_form", no_elimination)
+    with pytest.raises(ValueError) as info:
+        h1_from_linking(diagonal(H1_ROW_BUDGET + 1))
+    assert str(info.value) == (
+        f"the linking matrix has {H1_ROW_BUDGET + 1} rows; the budget is {H1_ROW_BUDGET}"
+    )
 
 
 def test_shape_errors_are_value_errors():

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,30 +6,29 @@ from fractions import Fraction
 import pytest
 
 from contactsurgery import kirby
-from contactsurgery.cfrac import NegCF, neg_cf_length
+from contactsurgery.cfrac import NegCF, neg_cf_length, neg_cf_value
 from contactsurgery.homology import Definiteness, definiteness, det_bareiss
 from contactsurgery.kirby import (
     PLUMBING_N_BUDGET,
     PLUMBING_VERTEX_BUDGET,
+    InternalConsistencyError,
+    PlumbingTree,
+    moser_seifert,
+    plumbing_presentation,
+)
+
+import kirby_moves
+from kirby_moves import (
     Component,
     GraphDiagram,
-    InternalConsistencyError,
     MoveError,
-    PlumbingTree,
     blow_down,
     blow_up,
-    format_graph_diagram,
-    format_plumbing_tree,
     handle_slide,
-    moser_seifert,
-    parse_graph_diagram,
-    parse_plumbing_tree,
-    plumbing_presentation,
     rational_to_integer,
     rolfsen_twist,
     slam_dunk,
 )
-
 from oracles import (
     copying_plumbing_move_sequence,
     generalized_linking_matrix,
@@ -329,7 +329,9 @@ def test_moser_classification():
         moser_seifert(4, 2, Fraction(1))
 
 
-def leg_lengths(tree: PlumbingTree):
+def star_legs(tree: PlumbingTree):
+    """The one vertex of degree 3, and the vertex ids of each leg read
+    from that center outward, in the order of the center's edges."""
     adj = {vid: [] for vid, _ in tree.vertices}
     for a, b in tree.edges:
         adj[a].append(b)
@@ -339,16 +341,20 @@ def leg_lengths(tree: PlumbingTree):
     center = centers[0]
     legs = []
     for start in adj[center]:
-        length, prev, cur = 1, center, start
+        leg, prev = [start], center
         while True:
-            nxt = [x for x in adj[cur] if x != prev]
+            nxt = [x for x in adj[leg[-1]] if x != prev]
             if not nxt:
                 break
             assert len(nxt) == 1
-            prev, cur = cur, nxt[0]
-            length += 1
-        legs.append(length)
-    return sorted(legs)
+            prev = leg[-1]
+            leg.append(nxt[0])
+        legs.append(leg)
+    return center, legs
+
+
+def leg_lengths(tree: PlumbingTree):
+    return sorted(len(leg) for leg in star_legs(tree)[1])
 
 
 def exceptional_tree_case(n, r, vertex_count, det):
@@ -401,7 +407,8 @@ def test_plumbing_sequence_labels():
     assert homology_magnitude(final) == 23
 
 
-def test_closed_form_against_the_move_sequence():
+def closed_form_grid():
+    """Over a thousand (n, r) with r < 4n, sorted."""
     # below, at and inside [2n - 1, 4n): negative, integral and fractional
     pairs = set()
     for n in range(1, 9):
@@ -416,8 +423,41 @@ def test_closed_form_against_the_move_sequence():
         for n in range(1, 7) for q in range(1, 6) for p in range(-3 * q, 4 * n * q)
     )
     assert len(pairs) > 1000
-    for n, r in sorted(pairs):
+    return sorted(pairs)
+
+
+def test_closed_form_against_the_move_sequence():
+    for n, r in closed_form_grid():
         assert plumbing_presentation(n, r) == move_sequence_tree(n, r), (n, r)
+
+
+def test_star_is_the_seifert_data_of_the_surgery():
+    # Moser (Pacific J. Math. 38, 1971): r = p/q surgery on T(2n+1, 2)
+    # fibers with multiplicities 2n + 1, 2 and |p - (4n+2)q|.  Read from
+    # the center e2, the legs e1; c{n}, h1; k, a1, ... are the three
+    # exceptional fibers, so their negative continued fractions [leg]
+    # have those numerators, and the star's form has determinant
+    # e * (product of numerators), e = 2 - sum of 1/[leg], and is
+    # positive definite exactly when e > 0.
+    definite = other = 0
+    for n, r in closed_form_grid():
+        tree = plumbing_presentation(n, r)
+        center, (k_leg, c_leg, e1_leg) = star_legs(tree)
+        assert center == "e2" and tree.weight(center) == 2
+        assert e1_leg == ["e1"] and c_leg == [f"c{n}", "h1"] and k_leg[0] == "k"
+        values = [neg_cf_value([tree.weight(v) for v in leg]) for leg in (e1_leg, c_leg, k_leg)]
+        p, q, third = moser_seifert(2 * n + 1, 2, r).multiplicities
+        numerators = [value.numerator for value in values]
+        assert numerators == [q, p, third], (n, r)
+        e = 2 - sum(1 / value for value in values)
+        assert tree.determinant == e * math.prod(numerators), (n, r)
+        if e > 0:
+            definite += 1
+            assert tree.definiteness is Definiteness.POSITIVE_DEFINITE, (n, r)
+        else:
+            other += 1
+            assert tree.definiteness is not Definiteness.POSITIVE_DEFINITE, (n, r)
+    assert definite >= 100 and other >= 100
 
 
 def test_failed_move_leaves_working_diagram_unchanged():
@@ -448,7 +488,7 @@ def test_failed_move_leaves_working_diagram_unchanged():
         ("rational_to_integer", "x2", "bad id"),
     ]
     for name, *args in failing:
-        w = kirby._Diagram(d)
+        w = kirby_moves._Diagram(d)
         with pytest.raises(ValueError):
             getattr(w, name)(*args)
         assert w.build() == d, name
@@ -476,33 +516,6 @@ def test_plumbing_definite_on_interval():
     assert definiteness(intersection_matrix(tree)) is Definiteness.DEGENERATE
     tree = plumbing_presentation(1, Fraction(-3))
     assert abs(det_bareiss(intersection_matrix(tree))) == 3
-
-
-def test_graph_diagram_round_trip():
-    d = GraphDiagram(
-        (
-            Component("k", Fraction(7, 2), torus=(5, 2)),
-            Component("u", Fraction(-3)),
-        ),
-        (("k", "u", 2),),
-    )
-    text = format_graph_diagram(d)
-    assert parse_graph_diagram(text) == d
-    assert parse_graph_diagram("# comment\n\n" + text) == d
-    with pytest.raises(ValueError):
-        parse_graph_diagram("a unknot\n")
-    with pytest.raises(ValueError):
-        parse_graph_diagram("a b 1\n")  # linking before components exist
-
-
-def test_plumbing_tree_round_trip():
-    t = plumbing_presentation(1, Fraction(3))
-    text = format_plumbing_tree(t)
-    assert parse_plumbing_tree(text) == t
-    with pytest.raises(ValueError):
-        parse_plumbing_tree("a 2\na b\n")
-    with pytest.raises(ValueError):
-        PlumbingTree((("a", 2),), (("a", "a"),))
 
 
 def test_definiteness_of_negated_form():
@@ -609,6 +622,8 @@ def test_tree_form_needs_a_forest():
         square.determinant
     with pytest.raises(ValueError):
         PlumbingTree((), ()).definiteness
+    with pytest.raises(ValueError, match="self edge"):
+        PlumbingTree((("a", 2),), (("a", "a"),))
 
 
 def test_plumbing_budget():

@@ -7,13 +7,17 @@ own: they read a plumbing's determinant and definiteness off the tree.
 Nor does the certificate search: it writes its copy of the obstruction
 form down and pairs it on the tree, never through a dense intersection
 matrix, and proves nonexistence by a lemma, not by the embedding search.
-No module imports another's underscore names.
+No module imports another's underscore names.  The Kirby move engine is
+a test oracle (tests/kirby_moves.py), and the text formats no subcommand
+reads are gone: no module defines or imports those names, and none
+imports from tests/.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contactsurgery"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "contactsurgery"
 
 
 def package_imports(path: Path) -> set[str]:
@@ -105,3 +109,50 @@ def test_no_module_imports_private_names():
     for path in sorted(PACKAGE.glob("*.py")):
         private = {name for name in imported_names(path) if name.startswith("_")}
         assert not private, (path.stem, private)
+
+
+TEST_ONLY = {
+    # the move engine, in tests/kirby_moves.py
+    "MoveError", "Component", "GraphDiagram", "_Diagram", "_integer_chain",
+    "blow_up", "blow_down", "handle_slide", "rolfsen_twist", "slam_dunk",
+    "rational_to_integer",
+    # text formats no subcommand reads
+    "format_graph_diagram", "parse_graph_diagram", "format_contact_diagram",
+    "parse_contact_diagram", "parse_plumbing_tree",
+}
+
+
+def defined_names(path: Path) -> set[str]:
+    """Every function and class name, at any depth, and every name bound
+    by a module-level assignment in one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(t.id for target in targets for t in ast.walk(target)
+                       if isinstance(t, ast.Name))
+    return out
+
+
+def test_move_engine_and_unread_formats_stay_out_of_the_package():
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not defined_names(path) & TEST_ONLY, path.stem
+        assert not imported_names(path) & TEST_ONLY, path.stem
+
+
+def test_package_imports_nothing_from_tests():
+    test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
+    assert {"oracles", "kirby_moves"} <= test_modules
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not {name.split(".")[0] for name in names} & test_modules, path.stem
