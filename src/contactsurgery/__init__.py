@@ -55,16 +55,9 @@ from .kirby import (
 )
 from .floer import (
     DerivationChain,
-    DimLedger,
     SlopeKnowledge,
-    Triangle,
-    adjunction_surface,
     knowledge_for,
-    ledger_deduce,
-    lens_dim,
     lspace_propagate,
-    small_rank_descent,
-    vanishing_predicate,
     verify_chain,
 )
 from .lattice import (

@@ -4,7 +4,9 @@ For r in [2n-1, 4n), r-surgery on the (2n+1, 2) torus knot carries no
 fillable contact structure.  The proof has four ingredients, each
 produced by a lower layer and re-checkable on its own:
 
-  * floer: a derivation chain showing the surgery has minimal Floer rank;
+  * floer: a derivation chain showing the surgery has minimal Floer rank,
+    from a seed slope that kirby.moser_seifert proves to be a lens space
+    surgery (Moser, Pacific J. Math. 38, 1971), so of minimal rank;
   * kirby: the positive definite plumbing tree bounding the surgery;
   * lattice: the rank-6 obstruction form inside the negated plumbing
     lattice, and the D4 lemma showing that form has no negative diagonal
@@ -32,9 +34,15 @@ from fractions import Fraction
 
 from .cfrac import format_rational
 from .contact import torus_knot
-from .floer import DerivationChain, knowledge_for, lspace_propagate, verify_chain
+from .floer import (
+    DerivationChain,
+    SlopeKnowledge,
+    knowledge_for,
+    lspace_propagate,
+    verify_chain,
+)
 from .homology import Definiteness, Matrix
-from .kirby import PlumbingTree, plumbing_presentation
+from .kirby import PlumbingTree, moser_seifert, plumbing_presentation
 from .lattice import d4_lemma, embed_bound, lambda_gram
 
 
@@ -68,6 +76,10 @@ class NotFillableCertificate:
     def verify(self) -> bool:
         """Re-check every identity in the certificate.
 
+        The chain must open with an integral seed s whose surgery is a
+        lens space by Moser's classification, |s - (4n+2)| = 1, so the
+        seed's minimal rank is proved here for every n rather than read
+        from the knot table; the chain is then replayed from that seed.
         The six sublattice vectors are paired on the tree itself, in
         O(V + E) per pair, and must give lambda_gram(a1, n): a changed,
         dropped or lengthened vector, a changed a1 or a changed vertex
@@ -76,9 +88,15 @@ class NotFillableCertificate:
         witnesses, the interval hypothesis and the embedding bound.
         """
         lo, hi = 2 * self.n - 1, 4 * self.n
-        if not lo <= self.slope < hi:
+        if self.n < 1 or not lo <= self.slope < hi:
             return False
-        kb = knowledge_for(torus_knot(2 * self.n + 1, 2))
+        steps = self.lspace_chain.steps
+        if not steps or steps[0].kind != "seed" or steps[0].denominator != 1:
+            return False
+        seed = steps[0].numerator
+        if not moser_seifert(2 * self.n + 1, 2, seed).is_lens:
+            return False
+        kb = SlopeKnowledge(torus_knot(2 * self.n + 1, 2), (seed,))
         try:
             verify_chain(kb, self.lspace_chain)
         except ValueError:

@@ -124,23 +124,28 @@ def custom_knot(
 
 
 def parse_knot(text: str) -> KnotInfo:
-    """Parse 'torus:p,q', 'twist:q', 'unknot' or 'custom:name,g,tb[,slope]'."""
+    """Parse 'torus:p,q', 'twist:q', 'unknot' or 'custom:name,g,tb[,slope]'.
+
+    A malformed id raises ValueError("bad knot id ..."); a well-formed one
+    outside the table raises whatever its constructor raises.
+    """
     text = text.strip()
     if text == "unknot":
         return unknot()
     kind, _, rest = text.partition(":")
+    parts = rest.split(",")
+    arities = {"torus": (2,), "twist": (1,), "custom": (3, 4)}.get(kind, ())
+    try:
+        numbers = [int(x) for x in (parts[1:] if kind == "custom" else parts)]
+    except ValueError:
+        numbers = None
+    if len(parts) not in arities or numbers is None:
+        raise ValueError(f"bad knot id {text!r}")
     if kind == "torus":
-        p, q = (int(x) for x in rest.split(","))
-        return torus_knot(p, q)
+        return torus_knot(*numbers)
     if kind == "twist":
-        return twist_knot(int(rest))
-    if kind == "custom":
-        parts = rest.split(",")
-        if len(parts) == 3:
-            return custom_knot(parts[0], int(parts[1]), int(parts[2]))
-        if len(parts) == 4:
-            return custom_knot(parts[0], int(parts[1]), int(parts[2]), int(parts[3]))
-    raise ValueError(f"bad knot id {text!r}")
+        return twist_knot(*numbers)
+    return custom_knot(parts[0], *numbers)
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +247,6 @@ class ContactDiagram:
 
 # ---------------------------------------------------------------------------
 # the rewriting algorithm
-
-
-def smooth_coefficient(tb: int, r_contact: Fraction) -> Fraction:
-    """Surgery coefficient in the Seifert framing: tb + contact coefficient."""
-    r_contact = Fraction(r_contact)
-    if r_contact == 0:
-        raise ValueError("contact 0-surgery has no smooth translation here")
-    return tb + r_contact
 
 
 def split_positive_surgery(r: Fraction, k: Optional[int] = None) -> tuple[Fraction, Fraction]:
@@ -522,21 +519,6 @@ def c1_coefficient(alpha: int, i: int) -> int:
     if not 0 <= i <= alpha - 1:
         raise ValueError(f"i must lie in [0, {alpha - 1}]")
     return 2 * i - (alpha - 1)
-
-
-def witness_diagram(alpha: int) -> ContactDiagram:
-    """Trefoil with coefficient +1 and a meridian with coefficient -alpha.
-
-    The underlying manifold is 2 + 1/(1 + alpha) surgery on the trefoil,
-    with first homology of order 2*alpha + 3.
-    """
-    if alpha < 1:
-        raise ValueError("alpha must be >= 1")
-    trefoil = ContactComponent(max_tb_legendrian(torus_knot(3, 2)), Fraction(1))
-    meridian = ContactComponent(
-        LegendrianKnot(unknot(), tb=-1, rot=0), Fraction(-alpha)
-    )
-    return ContactDiagram((trefoil, meridian), linking=((0, 1, 1),))
 
 
 @dataclass(frozen=True)

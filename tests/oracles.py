@@ -8,7 +8,15 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Optional
 
-from contactsurgery.contact import PlusMinusPresentation
+from contactsurgery.contact import (
+    ContactComponent,
+    ContactDiagram,
+    LegendrianKnot,
+    PlusMinusPresentation,
+    max_tb_legendrian,
+    torus_knot,
+    unknot,
+)
 from contactsurgery.floer import DerivationChain, DerivationStep, SlopeKnowledge
 from contactsurgery.homology import (
     Definiteness,
@@ -563,3 +571,26 @@ def dense_linking_matrix(pres: PlusMinusPresentation) -> Matrix:
                 lk = pres.diagram.linking_between(a.source, b.source)
             m[i][j] = m[j][i] = lk
     return m
+
+
+def smooth_coefficient(tb: int, r_contact: Fraction) -> Fraction:
+    """Surgery coefficient in the Seifert framing: tb + contact coefficient."""
+    r_contact = Fraction(r_contact)
+    if r_contact == 0:
+        raise ValueError("contact 0-surgery has no smooth translation here")
+    return tb + r_contact
+
+
+def witness_diagram(alpha: int) -> ContactDiagram:
+    """Trefoil with coefficient +1 and a meridian with coefficient -alpha.
+
+    The underlying manifold is 2 + 1/(1 + alpha) surgery on the trefoil,
+    with first homology of order 2*alpha + 3.
+    """
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    trefoil = ContactComponent(max_tb_legendrian(torus_knot(3, 2)), Fraction(1))
+    meridian = ContactComponent(
+        LegendrianKnot(unknot(), tb=-1, rot=0), Fraction(-alpha)
+    )
+    return ContactDiagram((trefoil, meridian), linking=((0, 1, 1),))

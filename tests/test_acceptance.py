@@ -17,19 +17,13 @@ from contactsurgery.contact import (
     torus_knot,
     translate,
     translate_single,
-    witness_diagram,
     witness_nonisomorphic,
 )
-from contactsurgery.floer import (
-    adjunction_surface,
-    knowledge_for,
-    lspace_propagate,
-    vanishing_predicate,
-    verify_chain,
-)
+from contactsurgery.floer import knowledge_for, lspace_propagate, verify_chain
 from contactsurgery.homology import Definiteness, definiteness, det_bareiss
 from contactsurgery.kirby import plumbing_presentation
 from contactsurgery.lattice import embed_bound, embed_in_diagonal, lambda_gram
+from floer_ledger import adjunction_surface, vanishing_predicate
 from kirby_moves import (
     Component,
     GraphDiagram,
@@ -46,6 +40,7 @@ from oracles import (
     intersection_matrix,
     negate,
     short_vectors,
+    witness_diagram,
 )
 
 

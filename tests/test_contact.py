@@ -24,7 +24,6 @@ from contactsurgery.contact import (
     max_tb_legendrian,
     negative_surgery_to_legendrian,
     parse_knot,
-    smooth_coefficient,
     split_positive_surgery,
     tightness_verdict,
     torus_knot,
@@ -32,12 +31,11 @@ from contactsurgery.contact import (
     translate_single,
     twist_knot,
     unknot,
-    witness_diagram,
     witness_nonisomorphic,
 )
 from contactsurgery.homology import det_bareiss, h1_from_linking
 
-from oracles import dense_linking_matrix
+from oracles import dense_linking_matrix, smooth_coefficient, witness_diagram
 
 
 def test_torus_knot_table():
@@ -81,6 +79,19 @@ def test_parse_knot_round_trip():
         assert parse_knot(text).name == text
     with pytest.raises(ValueError):
         parse_knot("granny")
+    # a well-formed id outside the table keeps its constructor's message
+    with pytest.raises(ValueError, match=r"^need p > q >= 2$"):
+        parse_knot("torus:2,3")
+
+
+@pytest.mark.parametrize("text", [
+    "torus:3", "torus:3,2,1", "torus:a,b", "twist:x", "twist:", "twist:-2,1",
+    "custom:a,b,c", "custom:k1,2", "custom:k1,2,3,4,5", "unknot:1", "torus",
+])
+def test_parse_knot_rejects_malformed_ids(text):
+    with pytest.raises(ValueError) as info:
+        parse_knot(text)
+    assert str(info.value) == f"bad knot id {text!r}"
 
 
 def test_legendrian_validation():

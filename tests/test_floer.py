@@ -11,23 +11,25 @@ from contactsurgery.floer import (
     CHAIN_BUDGET,
     DerivationChain,
     DerivationStep,
-    DimLedger,
-    InconsistentLedgerError,
-    NotApplicableError,
     SlopeKnowledge,
-    SurfaceData,
-    Triangle,
-    adjunction_surface,
     knowledge_for,
-    ledger_deduce,
-    lens_dim,
-    lspace_check,
     lspace_propagate,
-    small_rank_descent,
-    vanishing_predicate,
     verify_chain,
 )
 
+from floer_ledger import (
+    DimLedger,
+    InconsistentLedgerError,
+    NotApplicableError,
+    SurfaceData,
+    Triangle,
+    adjunction_surface,
+    ledger_deduce,
+    lens_dim,
+    lspace_check,
+    small_rank_descent,
+    vanishing_predicate,
+)
 from oracles import bfs_lspace_propagate
 
 
@@ -151,6 +153,20 @@ def test_small_rank_descent():
         small_rank_descent(0)
     with pytest.raises(ValueError):
         small_rank_descent(6)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_descent_ledger_checks_the_closed_form_chains(n):
+    # the exact triangles give every integer m in [2n-1, 4n+1] dimension
+    # m, and the closed-form chain from the tabulated seed reaches exactly
+    # those slopes by rules verify_chain accepts
+    ledger = small_rank_descent(n)
+    kb = knowledge_for(torus_knot(2 * n + 1, 2))
+    for m in range(2 * n - 1, 4 * n + 2):
+        assert ledger.dim(f"surgery-{m}") == m
+        chain = lspace_propagate(kb, Fraction(m))
+        assert chain is not None and verify_chain(kb, chain), m
+    assert lspace_propagate(kb, Fraction(2 * n - 2)) is None
 
 
 def test_knowledge_validation():

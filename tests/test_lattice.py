@@ -15,6 +15,8 @@ from contactsurgery.certificate import (
     donaldson_certificate,
     lambda_witness,
 )
+from contactsurgery.contact import torus_knot
+from contactsurgery.floer import DerivationChain, SlopeKnowledge, lspace_propagate
 from contactsurgery.homology import Definiteness, definiteness, det_bareiss
 from contactsurgery.kirby import PlumbingTree, plumbing_presentation
 from contactsurgery.lattice import (
@@ -534,6 +536,45 @@ def test_certificate_verify_rejects_tampering():
     dense = SublatticeWitness(negate(intersection_matrix(cert.tree)), lambda_gram(2, 1), flipped)
     assert not dense.verify()
     assert not dataclasses.replace(cert, sublattice_vectors=flipped).verify()
+
+
+def test_certificate_verify_rejects_malformed_input_without_raising():
+    cert = donaldson_certificate(1, Fraction(3))
+    assert not dataclasses.replace(cert, n=0, slope=Fraction(-1, 2)).verify()
+    assert not dataclasses.replace(cert, n=-1, slope=Fraction(-5, 2)).verify()
+    chain = cert.lspace_chain
+    empty = DerivationChain(chain.knot_name, chain.query, ())
+    assert not dataclasses.replace(cert, lspace_chain=empty).verify()
+    unseeded = DerivationChain(chain.knot_name, chain.query, chain.steps[1:])
+    assert unseeded.steps[0].kind == "step_down"
+    assert not dataclasses.replace(cert, lspace_chain=unseeded).verify()
+
+
+SEED_CASES = [(1, Fraction(2)), (2, Fraction(15, 2)), (3, Fraction(41, 4))]
+
+
+@pytest.mark.parametrize("n, r", SEED_CASES, ids=lambda x: str(x))
+def test_certificate_verify_proves_the_seed_by_moser(n, r):
+    # only the two lens-space slopes 4n+1 and 4n+3, where the third
+    # multiplicity |s - (4n+2)| is 1, are accepted seeds; 4n is an
+    # L-space surgery too, but verify() has no proof of it
+    cert = donaldson_certificate(n, r)
+    knot = torus_knot(2 * n + 1, 2)
+    for seed, ok in ((4 * n + 1, True), (4 * n + 3, True), (4 * n + 2, False), (4 * n, False)):
+        chain = lspace_propagate(SlopeKnowledge(knot, (seed,)), r)
+        assert chain.steps[0].numerator == seed
+        assert dataclasses.replace(cert, lspace_chain=chain).verify() is ok, seed
+
+
+@pytest.mark.parametrize("n, r", SEED_CASES, ids=lambda x: str(x))
+def test_certificate_verify_ignores_the_knot_table_seed(n, r, monkeypatch):
+    def degenerate_seed(p, q):
+        return dataclasses.replace(torus_knot(p, q), lspace_integer_slope=p * q)
+
+    monkeypatch.setattr(certificate, "torus_knot", degenerate_seed)
+    cert = donaldson_certificate(n, r)
+    assert cert.lspace_chain.steps[0].numerator == 4 * n + 2
+    assert not cert.verify()
 
 
 # n <= 3 and a1 = 2, 3, 4: 4n - r >= 1, in [1/2, 1) and in [1/3, 1/2)

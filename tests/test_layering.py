@@ -7,10 +7,11 @@ own: they read a plumbing's determinant and definiteness off the tree.
 Nor does the certificate search: it writes its copy of the obstruction
 form down and pairs it on the tree, never through a dense intersection
 matrix, and proves nonexistence by a lemma, not by the embedding search.
-No module imports another's underscore names.  The Kirby move engine is
-a test oracle (tests/kirby_moves.py), and the text formats no subcommand
-reads are gone: no module defines or imports those names, and none
-imports from tests/.
+No module imports another's underscore names.  floer sits on cfrac and
+contact only.  The Kirby move engine (tests/kirby_moves.py) and the
+exact-triangle ledger (tests/floer_ledger.py) are test oracles, and the
+text formats no subcommand reads are gone: no module defines or imports
+those names, and none imports from tests/.
 """
 
 import ast
@@ -62,6 +63,13 @@ def test_lattice_sits_on_homology_only():
     assert import_graph()["lattice"] == {"homology"}
 
 
+def test_floer_sits_on_cfrac_and_contact_only():
+    # the seed's minimal rank comes from the knot table or, in the
+    # certificate's verify(), from kirby.moser_seifert; floer only
+    # propagates and replays chains
+    assert import_graph()["floer"] == {"cfrac", "contact"}
+
+
 def test_only_cli_and_root_import_the_certificate():
     graph = import_graph()
     assert "certificate" in graph
@@ -93,6 +101,18 @@ def test_certificate_runs_no_sublattice_search():
     assert "embed_in_diagonal" not in (PACKAGE / "certificate.py").read_text()
 
 
+def test_certificate_verify_proves_the_seed_itself():
+    # verify() accepts a chain's seed by Moser's lens-space test, never
+    # by the knot table that built the chain
+    tree = ast.parse((PACKAGE / "certificate.py").read_text())
+    verify = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "verify")
+    names = {node.id for node in ast.walk(verify) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(verify) if isinstance(node, ast.Attribute)}
+    assert {"moser_seifert", "is_lens"} <= names
+    assert not names & {"knowledge_for", "lspace_integer_slope"}
+
+
 def test_certificate_builds_no_dense_plumbing_form():
     # the six vectors are paired on the tree, in O(V + E) per pair, and the
     # dense form of a plumbing is a test oracle (tests/oracles.py)
@@ -119,6 +139,12 @@ TEST_ONLY = {
     # text formats no subcommand reads
     "format_graph_diagram", "parse_graph_diagram", "format_contact_diagram",
     "parse_contact_diagram", "parse_plumbing_tree",
+    # the exact-triangle ledger, in tests/floer_ledger.py
+    "NotApplicableError", "InconsistentLedgerError", "SurfaceData",
+    "vanishing_predicate", "adjunction_surface", "lens_dim", "lspace_check",
+    "Triangle", "DimLedger", "ledger_deduce", "small_rank_descent",
+    # contact helpers only tests call, in tests/oracles.py
+    "smooth_coefficient", "witness_diagram",
 }
 
 
@@ -146,7 +172,7 @@ def test_move_engine_and_unread_formats_stay_out_of_the_package():
 
 def test_package_imports_nothing_from_tests():
     test_modules = {"tests"} | {path.stem for path in TESTS.glob("*.py")}
-    assert {"oracles", "kirby_moves"} <= test_modules
+    assert {"oracles", "kirby_moves", "floer_ledger"} <= test_modules
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom) and node.level == 0:
